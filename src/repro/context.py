@@ -25,6 +25,8 @@ and hands out the shared per-array machinery derived from it:
   :class:`~repro.sim.kernel.BatchEvaluator`, so consumers that batch
   over the same vector suite (coverage accounting, double-fault
   hardening, campaign sweeps) share one scenario-dedup pool;
+* :meth:`universe` — the memoized fault universe of one campaign
+  workload, so every shard of a sweep samples one shared tuple;
 * :meth:`rng` — deterministic per-purpose random streams derived from
   the session seed through the splitmix64 mixer
   (:func:`repro.sim.seeding.mix_seed`).
@@ -154,6 +156,7 @@ class ExecutionContext:
         self._simulator: PressureSimulator | None = None
         self._tester: Tester | None = None
         self._evaluators: dict[tuple, BatchEvaluator] = {}
+        self._universes: dict[tuple, tuple] = {}
 
     # -- resolution helpers -------------------------------------------------
     @classmethod
@@ -291,6 +294,27 @@ class ExecutionContext:
         else:
             self._evaluators[key] = self._evaluators.pop(key)
         return evaluator
+
+    def universe(
+        self, scenario: Any = None, include_control_leaks: bool = True
+    ) -> tuple:
+        """The fault universe a campaign on this session samples.
+
+        Memoized by the canonical
+        :func:`~repro.store.digest.scenario_key` — never by the scenario
+        object itself, which need not be hashable — so every campaign
+        and shard of a sweep shares one build.
+        """
+        from repro.sim.campaign import campaign_universe
+        from repro.store.digest import scenario_key
+
+        key = scenario_key(scenario, include_control_leaks)
+        universe = self._universes.get(key)
+        if universe is None:
+            universe = self._universes[key] = campaign_universe(
+                self.fpva, scenario, include_control_leaks
+            )
+        return universe
 
     def dictionary(
         self,

@@ -133,41 +133,54 @@ def _resolve_kernel(fpva, kernel):
     return cached.fpva, cached
 
 
-def _shard_context(fpva, backend, kernel, kernel_backend):
-    """The session a shard runs under, memoized for path-shipped kernels.
+def _shard_session(fpva, backend, kernel, kernel_backend):
+    """A fresh session for one run of shards (a drain or a serial loop).
 
-    Shards whose payloads name the same persisted kernel artifact share
-    one :class:`~repro.context.ExecutionContext` per worker process, so
-    the session's evaluator scenario pools survive across shards instead
-    of re-deduplicating per task.  Safe for bit-identity: shard results
-    are a pure function of the payload's explicit seed (``run_campaign``
-    never consults the context's own seed).  Object-shipped kernels (no
-    store) arrive as a fresh pickled copy per payload and keep a fresh
-    context, exactly as before.
+    Every shard the run executes shares the session's kernel, fault
+    universe and memoized evaluator, so a sweep pays those fixed costs
+    once.  The caller owns the session's lifetime: it lives exactly as
+    long as that one sweep, which keeps memory bounded by one sweep's
+    scenario pool.
     """
     from repro.context import ExecutionContext
 
     if backend == "legacy":
         return ExecutionContext(fpva, engine="object")
-    if isinstance(kernel, str):
-        key = (kernel, kernel_backend)
-        context = _CONTEXT_MEMO.get(key)
-        if context is None:
-            fpva, resolved = _resolve_kernel(fpva, kernel)
-            context = _CONTEXT_MEMO[key] = ExecutionContext(
-                fpva, kernel=resolved, kernel_backend=kernel_backend
-            )
-        return context
     fpva, resolved = _resolve_kernel(fpva, kernel)
     return ExecutionContext(fpva, kernel=resolved, kernel_backend=kernel_backend)
 
 
-def _run_shard(payload) -> CampaignResult:
+def _shard_context(fpva, backend, kernel, kernel_backend):
+    """The session a pool-mapped shard runs under.
+
+    Pool workers see one payload at a time, so shards whose payloads name
+    the same persisted kernel artifact share one session per worker
+    process (the memo dies with the pool).  Safe for bit-identity: shard
+    results are a pure function of the payload's explicit seed
+    (``run_campaign`` never consults the context's own seed).
+    Object-shipped kernels arrive as a fresh pickled copy per payload, so
+    each such shard gets its own session; in-process loops avoid that by
+    passing one :func:`_shard_session` to every :func:`_run_shard`.
+    """
+    if backend == "legacy" or not isinstance(kernel, str):
+        return _shard_session(fpva, backend, kernel, kernel_backend)
+    key = (kernel, kernel_backend)
+    context = _CONTEXT_MEMO.get(key)
+    if context is None:
+        context = _CONTEXT_MEMO[key] = _shard_session(
+            fpva, backend, kernel, kernel_backend
+        )
+    return context
+
+
+def _run_shard(payload, context=None) -> CampaignResult:
+    """Simulate one shard payload, on ``context`` when one is given."""
     (fpva, vectors, num_faults, trials, shard_seed, include_control_leaks,
      keep_undetected, scenario, backend, kernel, kernel_backend) = payload
-    shard_context = _shard_context(fpva, backend, kernel, kernel_backend)
+    if context is None:
+        context = _shard_context(fpva, backend, kernel, kernel_backend)
     return _run_serial(
-        shard_context.fpva,
+        context.fpva,
         vectors,
         num_faults=num_faults,
         trials=trials,
@@ -175,7 +188,7 @@ def _run_shard(payload) -> CampaignResult:
         include_control_leaks=include_control_leaks,
         keep_undetected=keep_undetected,
         scenario=scenario,
-        context=shard_context,
+        context=context,
     )
 
 
@@ -336,7 +349,8 @@ def run_campaign(
         kernel_backend,
     )
     if workers <= 1 or len(payloads) <= 1:
-        shards = [_run_shard(p) for p in payloads]
+        session = _shard_session(fpva, backend, kernel, kernel_backend)
+        shards = [_run_shard(p, session) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(_run_shard, payloads))
@@ -406,7 +420,8 @@ def run_sweep(
         ):
             tagged.append((k, payload))
     if workers <= 1 or len(tagged) <= 1:
-        shard_results = [(k, _run_shard(p)) for k, p in tagged]
+        session = _shard_session(fpva, backend, kernel, kernel_backend)
+        shard_results = [(k, _run_shard(p, session)) for k, p in tagged]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_run_shard, [p for _, p in tagged])

@@ -19,12 +19,17 @@ every full shard already published.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from math import ceil
 
 from repro.core.vectors import TestVector
 from repro.fpva.array import FPVA
 from repro.sim.seeding import mix_seed
-from repro.store.digest import campaign_digest, campaign_key, shard_digest
+from repro.store.digest import (
+    campaign_digest,
+    campaign_key,
+    canonical_json,
+    shard_digest,
+)
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class CampaignSpec:
 
     Picklable (the multi-process drain ships one to each worker): the
     scenario must live at module top level, exactly as the in-memory pool
-    already requires.
+    already requires, and the memoized key encoding is a plain string.
     """
 
     fpva: FPVA
@@ -69,6 +74,9 @@ class CampaignSpec:
     scenario: object = None
     shard_trials: int = 50
     _key: tuple | None = field(init=False, repr=False, compare=False, default=None)
+    _key_json: str | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vectors", tuple(self.vectors))
@@ -97,13 +105,24 @@ class CampaignSpec:
         return self._key
 
     @property
+    def key_json(self) -> str:
+        """The canonical JSON encoding of :attr:`key` (memoized).
+
+        Every campaign and shard digest splices this one encoding in, so
+        a sweep serializes its vector suite once instead of per shard.
+        """
+        if self._key_json is None:
+            object.__setattr__(self, "_key_json", canonical_json(self.key))
+        return self._key_json
+
+    @property
     def digest(self) -> str:
         """Manifest identity of this concrete invocation."""
-        return campaign_digest(self.key, self.fault_counts, self.trials)
+        return campaign_digest(self.key_json, self.fault_counts, self.trials)
 
     def shards_for(self, num_faults: int) -> list[ShardDescriptor]:
         """The shard split for one fault count, in shard order."""
-        key = self.key
+        key_json = self.key_json
         out = []
         shard = 0
         remaining = self.trials
@@ -111,7 +130,7 @@ class CampaignSpec:
             size = min(self.shard_trials, remaining)
             out.append(
                 ShardDescriptor(
-                    digest=shard_digest(key, num_faults, shard, size),
+                    digest=shard_digest(key_json, num_faults, shard, size),
                     num_faults=num_faults,
                     shard=shard,
                     trials=size,
@@ -143,5 +162,6 @@ class CampaignSpec:
             "keep_undetected": self.keep_undetected,
             "scenario": getattr(scenario, "name", None),
             "shard_trials": self.shard_trials,
-            "shards": len(self.shards()),
+            "shards": len(self.fault_counts)
+            * max(0, ceil(self.trials / self.shard_trials)),
         }

@@ -59,6 +59,7 @@ from repro.fabric.retry import DEFAULT_MAX_ATTEMPTS, RetryPolicy
 from repro.fabric.scheduler import get_scheduler, measure_profiles
 
 if TYPE_CHECKING:
+    from repro.context import ExecutionContext
     from repro.sim.kernel import ReachabilityKernel
 
 #: Base re-poll interval while foreign processes still hold fresh leases
@@ -136,6 +137,10 @@ class ShardWorker:
     otherwise ``kernel`` is a compiled kernel, an artifact path, or
     ``None`` (compile locally), attached to the named backend tier.
 
+    The worker resolves one simulation session on its first shard and
+    runs every later shard on it, so a drain builds its kernel, fault
+    universe and batch evaluator once; the session dies with the worker.
+
     ``retry`` bounds how this worker treats a shard whose simulation
     raises: the lease is released, the failure recorded durably, and the
     shard retried after a deterministic-jitter backoff — until the
@@ -172,14 +177,19 @@ class ShardWorker:
         self.retried = 0
         #: Digests this worker parked as poison.
         self.quarantined: list[str] = []
+        self._session: ExecutionContext | None = None
 
     def checkpoint(self, point: str, descriptor: ShardDescriptor | None) -> None:
         """Crash-injection seam; the production worker never acts here."""
 
     def run_shard(self, descriptor: ShardDescriptor) -> CampaignResult:
-        from repro.engine.parallel import _run_shard
+        from repro.engine.parallel import _run_shard, _shard_session
 
         spec = self.spec
+        if self._session is None:
+            self._session = _shard_session(
+                spec.fpva, self.mode, self.kernel, self.kernel_backend
+            )
         return _run_shard(
             (
                 spec.fpva,
@@ -193,7 +203,8 @@ class ShardWorker:
                 self.mode,
                 self.kernel,
                 self.kernel_backend,
-            )
+            ),
+            self._session,
         )
 
     def drain(self) -> int:
@@ -246,6 +257,9 @@ class ShardWorker:
                 )
                 self.journal.release(descriptor)
                 pending.append(descriptor)
+                # The failure may have left the session mid-batch; the
+                # retry starts on a fresh one.
+                self._session = None
                 continue
             elapsed = time.perf_counter() - t0
             self.journal.publish_result(

@@ -118,6 +118,21 @@ def sample_fault_set(
     raise RuntimeError(f"could not sample {k} compatible faults")
 
 
+def campaign_universe(
+    fpva: FPVA, scenario=None, include_control_leaks: bool = True
+) -> tuple[Fault, ...]:
+    """The candidate faults a campaign draws from, in canonical order.
+
+    ``scenario=None`` is the paper's stuck-at/control-leak space.  Sessions
+    memoize this through :meth:`~repro.context.ExecutionContext.universe`.
+    """
+    if scenario is None:
+        return tuple(
+            fault_universe(fpva, include_control_leaks=include_control_leaks)
+        )
+    return tuple(scenario.universe(fpva))
+
+
 def _resolve_context(fpva, context, backend: str | None, kernel):
     """Coerce the legacy ``backend=``/``kernel=`` plumbing to a session.
 
@@ -175,7 +190,8 @@ def run_campaign(
     stuck-at/control-leak fault space is sampled directly.
 
     ``context`` supplies the compiled-kernel session every campaign in a
-    sweep shares (kernel, tester, batch-evaluation scenario pool).  A
+    sweep shares (kernel, tester, fault universe, batch-evaluation
+    scenario pool).  A
     kernel-engine session canonicalizes every trial chip to its per-vector
     effective-state masks, deduplicates, and evaluates the whole campaign
     through the compiled bitmask kernel — 64 scenarios per machine word;
@@ -187,11 +203,10 @@ def run_campaign(
     """
     context = _resolve_context(fpva, context, backend, kernel)
     rng = random.Random(seed)
+    universe = context.universe(scenario, include_control_leaks)
     if scenario is None:
-        universe = fault_universe(fpva, include_control_leaks=include_control_leaks)
         draw = lambda: sample_fault_set(universe, num_faults, rng)  # noqa: E731
     else:
-        universe = scenario.universe(fpva)
         draw = lambda: scenario.sample(universe, rng, num_faults)  # noqa: E731
     result = CampaignResult(num_faults=num_faults, trials=trials, detected=0)
     tester = context.tester

@@ -88,10 +88,18 @@ def fault_key(fault: Fault) -> tuple:
     raise TypeError(f"unknown fault kind {fault!r}")
 
 
+def canonical_json(value: Any) -> str:
+    """The compact, key-sorted JSON encoding every digest hashes."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def _hash_text(payload: str) -> str:
+    return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
+
+
 def digest_of(*parts: Any) -> str:
     """BLAKE2b hex digest of canonically JSON-serialized parts."""
-    payload = json.dumps(parts, separators=(",", ":"), sort_keys=True)
-    return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
+    return _hash_text(canonical_json(parts))
 
 
 def digest_int(digest: str, bits: int = 64) -> int:
@@ -152,20 +160,30 @@ def campaign_key(
     )
 
 
-def campaign_digest(key: tuple, fault_counts: Sequence[int], trials: int) -> str:
-    """Manifest identity of one concrete campaign/sweep invocation."""
-    return digest_of(
-        "campaign", key, tuple(int(k) for k in fault_counts), int(trials)
-    )
+def campaign_digest(key_json: str, fault_counts: Sequence[int], trials: int) -> str:
+    """Manifest identity of one concrete campaign/sweep invocation.
+
+    ``key_json`` is ``canonical_json(campaign_key(...))``: the key is the
+    bulk of the payload (every vector's valve list), so a spec encodes it
+    once and splices it in.  The result equals
+    ``digest_of("campaign", key, fault_counts, trials)``.
+    """
+    counts = canonical_json([int(k) for k in fault_counts])
+    return _hash_text(f'["campaign",{key_json},{counts},{int(trials)}]')
 
 
-def shard_digest(key: tuple, num_faults: int, shard: int, trials: int) -> str:
+def shard_digest(key_json: str, num_faults: int, shard: int, trials: int) -> str:
     """Content address of one ``(campaign key, k, shard)`` work unit.
 
-    ``trials`` is the shard's own size (the tail shard of an uneven split
-    is a different artifact from a full one).
+    ``key_json`` is the spliced-in key encoding, as for
+    :func:`campaign_digest`; the result equals
+    ``digest_of("shard", key, num_faults, shard, trials)``.  ``trials``
+    is the shard's own size (the tail shard of an uneven split is a
+    different artifact from a full one).
     """
-    return digest_of("shard", key, int(num_faults), int(shard), int(trials))
+    return _hash_text(
+        f'["shard",{key_json},{int(num_faults)},{int(shard)},{int(trials)}]'
+    )
 
 
 def layout_digest(fpva: FPVA) -> str:

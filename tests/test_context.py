@@ -17,6 +17,7 @@ Covers the PR-5 tentpole and satellites:
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -39,7 +40,25 @@ from repro.sim import (
     ReachabilityKernel,
     run_campaign,
 )
-from repro.engine import AdaptiveDiagnoser
+from repro.engine import AdaptiveDiagnoser, get_scenario
+from repro.sim.campaign import sample_fault_set
+from repro.sim.faults import fault_universe
+
+
+@dataclass
+class _MutableStuckAt:
+    """A custom scenario that is a plain (unhashable) dataclass."""
+
+    name: str = "mutable-stuck-at"
+    include_control_leaks: bool = False
+
+    def universe(self, fpva):
+        return fault_universe(
+            fpva, include_control_leaks=self.include_control_leaks
+        )
+
+    def sample(self, universe, rng, num_faults):
+        return sample_fault_set(universe, num_faults, rng)
 
 
 def _random_vectors(fpva, seed: int, count: int) -> list[TestVector]:
@@ -107,6 +126,38 @@ class TestExecutionContext:
         assert ev1 is ev2
         ev3 = ctx.evaluator(vectors[:2])
         assert ev3 is not ev1
+
+    def test_universe_memoized_by_scenario_key(self, small):
+        ctx = ExecutionContext(small)
+        default = ctx.universe()
+        assert isinstance(default, tuple)
+        assert ctx.universe(None, True) is default
+        assert ctx.universe(include_control_leaks=False) is not default
+        stuck = get_scenario("stuck-at")
+        assert ctx.universe(stuck) == tuple(stuck.universe(small))
+
+    def test_universe_memo_accepts_unhashable_scenario(self, small):
+        scenario = _MutableStuckAt()
+        with pytest.raises(TypeError):
+            hash(scenario)
+        ctx = ExecutionContext(small)
+        universe = ctx.universe(scenario)
+        # Keyed by the canonical repr, not object identity ...
+        assert ctx.universe(_MutableStuckAt()) is universe
+        # ... and a mutated scenario is a different workload.
+        scenario.include_control_leaks = True
+        assert ctx.universe(scenario) is not universe
+        assert len(ctx.universe(scenario)) > len(universe)
+        vectors = _random_vectors(small, seed=9, count=5)
+        kwargs = dict(num_faults=2, trials=30, seed=4, scenario=scenario)
+        batched = run_campaign(small, vectors, context=ctx, **kwargs)
+        reference = run_campaign(
+            small, vectors,
+            context=ExecutionContext(small, engine="object"), **kwargs,
+        )
+        assert (batched.detected, batched.undetected_examples) == (
+            reference.detected, reference.undetected_examples
+        )
 
     def test_object_session_refuses_batching(self, small):
         ctx = ExecutionContext(small, engine="object")

@@ -171,3 +171,82 @@ class TestFabricPath:
         assert set(first) == set(second)
         for k in first:
             assert _result_key(first[k]) == _result_key(second[k])
+
+
+class TestFixedCosts:
+    """A serial sweep builds its fault universe and evaluator once.
+
+    Every shard of one sweep runs on one session, so neither cost scales
+    with the shard count, and the shared session changes no result.
+    """
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        import repro.sim.campaign as campaign
+        from repro.sim.kernel import BatchEvaluator
+
+        counts = {"universe": 0, "evaluator": 0}
+        universe = campaign.fault_universe
+        init = BatchEvaluator.__init__
+
+        def counted_universe(*args, **kwargs):
+            counts["universe"] += 1
+            return universe(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            counts["evaluator"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "fault_universe", counted_universe)
+        monkeypatch.setattr(BatchEvaluator, "__init__", counted_init)
+        return counts
+
+    @staticmethod
+    def _reference(fpva, vectors, fault_counts, **kwargs):
+        from repro.context import ExecutionContext
+
+        return run_sweep(
+            fpva, vectors, fault_counts=fault_counts, workers=1,
+            context=ExecutionContext(fpva, engine="object"), **kwargs,
+        )
+
+    @pytest.mark.parametrize("store", [False, True], ids=["shipped", "stored"])
+    @pytest.mark.parametrize("journal", [False, True], ids=["memory", "journal"])
+    def test_sweep_pays_fixed_costs_once(
+        self, bundle, tmp_path, counters, store, journal
+    ):
+        from repro.context import ExecutionContext
+
+        fpva, vectors = bundle
+        kwargs = dict(trials=45, seed=13, shard_trials=10)
+        context = ExecutionContext(
+            fpva, cache_dir=tmp_path / "cache" if store else None
+        )
+        counters.update(universe=0, evaluator=0)
+        sweep = run_sweep(
+            fpva, vectors, fault_counts=(1, 2, 3), workers=1, context=context,
+            journal_dir=tmp_path / "j" if journal else None, **kwargs,
+        )
+        assert counters == {"universe": 1, "evaluator": 1}
+        reference = self._reference(fpva, vectors, (1, 2, 3), **kwargs)
+        for k in reference:
+            assert _result_key(sweep[k]) == _result_key(reference[k])
+            assert sweep[k].undetected_trials == reference[k].undetected_trials
+
+    def test_campaign_pays_fixed_costs_once(self, bundle, counters):
+        fpva, vectors = bundle
+        kwargs = dict(trials=45, seed=17, shard_trials=10)
+        counters.update(universe=0, evaluator=0)
+        result = run_campaign(fpva, vectors, num_faults=2, workers=1, **kwargs)
+        assert counters == {"universe": 1, "evaluator": 1}
+        reference = self._reference(fpva, vectors, (2,), **kwargs)[2]
+        assert _result_key(result) == _result_key(reference)
+
+    def test_each_sweep_gets_its_own_session(self, bundle, counters):
+        """Sessions end with their sweep: a second sweep rebuilds."""
+        fpva, vectors = bundle
+        kwargs = dict(fault_counts=(1,), trials=20, seed=1, workers=1)
+        run_sweep(fpva, vectors, **kwargs)
+        counters.update(universe=0, evaluator=0)
+        run_sweep(fpva, vectors, **kwargs)
+        assert counters == {"universe": 1, "evaluator": 1}

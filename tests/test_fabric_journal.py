@@ -19,15 +19,18 @@ descriptor, so the properties exercise the journal and merge machinery
 
 from __future__ import annotations
 
+import pickle
 import random
 import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.vectors import TestVector, VectorKind
 from repro.fabric import DONE, CampaignJournal, CampaignSpec, ShardStore
 from repro.fpva import full_layout
 from repro.sim import CampaignResult, merge_shards
+from repro.store.digest import digest_of
 
 LEASE_TIMEOUT = 60.0
 N_WORKERS = 3
@@ -202,3 +205,88 @@ def test_merge_invariant_under_completion_order(order, keep):
             assert _result_key(
                 merge_shards(k, loaded, keep)
             ) == _result_key(serial)
+
+
+# -- shard addressing -----------------------------------------------------
+# Published journals are addressed by these digests: any change to how a
+# spec encodes its key orphans every shard already on disk.  The literals
+# below were computed before the key encoding was memoized.
+
+
+def _golden_spec(**overrides) -> CampaignSpec:
+    fpva = full_layout(3, 3, name="golden-3x3")
+    valves = sorted(fpva.valves, key=lambda e: (e.a.r, e.a.c, e.b.r, e.b.c))
+    sinks = sorted(p.name for p in fpva.ports if p.kind.value == "sink")
+    vectors = (
+        TestVector("p0", VectorKind.FLOW_PATH, frozenset(valves[:4]),
+                   {name: True for name in sinks}),
+        TestVector("c0", VectorKind.CUT_SET, frozenset(valves[4:6]),
+                   {name: False for name in sinks}),
+    )
+    params = dict(fpva=fpva, vectors=vectors, fault_counts=(1, 3),
+                  trials=25, seed=7, shard_trials=10)
+    params.update(overrides)
+    return CampaignSpec(**params)
+
+
+GOLDEN_CAMPAIGN = "feafb05f4a0536b6daccc4ec6c211725"
+GOLDEN_SHARDS = [
+    (1, 0, 10, "e2bdcf34b3aa5c877d8df014b447b728"),
+    (1, 1, 10, "2681d8e5e67a8528cd2dfb7843ec2124"),
+    (1, 2, 5, "d23567bb2b7619a4642cadd1cef49b44"),
+    (3, 0, 10, "0d2ad27092c27d782dfb817928fb0e5c"),
+    (3, 1, 10, "8277dc2a448b9b2134d506aefa7a02e9"),
+    (3, 2, 5, "f92e496920af5ecde6a144fb81f4af06"),
+]
+
+
+def test_shard_and_campaign_digests_match_golden_literals():
+    spec = _golden_spec()
+    assert spec.digest == GOLDEN_CAMPAIGN
+    assert [
+        (d.num_faults, d.shard, d.trials, d.digest) for d in spec.shards()
+    ] == GOLDEN_SHARDS
+    assert spec.manifest()["digest"] == GOLDEN_CAMPAIGN
+    assert spec.manifest()["shards"] == len(GOLDEN_SHARDS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fault_counts=st.lists(
+        st.integers(min_value=1, max_value=5), min_size=1, max_size=3,
+        unique=True,
+    ),
+    trials=st.integers(min_value=0, max_value=40),
+    shard_trials=st.integers(min_value=1, max_value=15),
+    seed=st.integers(min_value=0, max_value=2**63),
+    include_control_leaks=st.booleans(),
+    keep_undetected=st.integers(min_value=0, max_value=12),
+)
+def test_spliced_digests_equal_the_generic_encoding(
+    fault_counts, trials, shard_trials, seed, include_control_leaks,
+    keep_undetected,
+):
+    spec = _golden_spec(
+        fault_counts=tuple(fault_counts), trials=trials,
+        shard_trials=shard_trials, seed=seed,
+        include_control_leaks=include_control_leaks,
+        keep_undetected=keep_undetected,
+    )
+    assert spec.digest == digest_of(
+        "campaign", spec.key, spec.fault_counts, spec.trials
+    )
+    descriptors = spec.shards()
+    for d in descriptors:
+        assert d.digest == digest_of(
+            "shard", spec.key, d.num_faults, d.shard, d.trials
+        )
+    assert spec.manifest()["shards"] == len(descriptors)
+
+
+def test_spec_pickles_after_its_key_encoding_is_memoized():
+    spec = _golden_spec()
+    spec.shards()
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone.key_json == spec.key_json
+    assert clone.digest == GOLDEN_CAMPAIGN
+    assert [d.digest for d in clone.shards()] == [g for *_, g in GOLDEN_SHARDS]

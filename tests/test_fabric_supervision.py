@@ -296,6 +296,31 @@ def failing_worker(poison_digest: str) -> type[ShardWorker]:
 
 
 class TestPoisonShards:
+    def test_worker_reuses_one_session_and_resets_it_after_a_failure(
+        self, tmp_path, spec, reference
+    ):
+        sessions = []
+
+        class FlakyWorker(ShardWorker):
+            def run_shard(self, descriptor):
+                result = super().run_shard(descriptor)
+                sessions.append(self._session)
+                if len(sessions) == 1:
+                    raise RuntimeError("injected failure after simulation")
+                return result
+
+        results, stats = run_journaled_sweep(
+            spec, tmp_path / "journal", workers=1, worker_cls=FlakyWorker,
+            retry=FAST_RETRY, sleep=_noop_sleep,
+        )
+        assert stats.retried == 1 and not stats.degraded
+        assert len(sessions) == stats.total + 1
+        # The failed attempt's session is dropped; every later shard
+        # shares the one fresh session.
+        assert sessions[1] is not sessions[0]
+        assert all(session is sessions[1] for session in sessions[1:])
+        assert_sweeps_identical(results, reference)
+
     def test_bounded_retries_then_quarantine(self, tmp_path, spec, reference):
         journal_dir = tmp_path / "journal"
         poison = spec.shards()[2]
