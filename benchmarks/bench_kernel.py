@@ -1,4 +1,4 @@
-"""Compiled bitmask kernel vs the retained legacy path, and backend tiers.
+"""Compiled bitmask kernel vs the retained legacy path, and tile vs word.
 
 Acceptance measurements, each asserting exact result equality before
 comparing wall-clock:
@@ -9,11 +9,10 @@ comparing wall-clock:
 * **campaign throughput** — full-suite application over hundreds of random
   double-fault chips, object-engine ``Tester.run`` per chip vs one batched
   kernel evaluation (compile included).  Floor: >=3x.
-* **backend tiers** — the 16x16 (and, under ``REPRO_BENCH_FULL=1``, 20x20)
-  card-2 dictionary build per registry backend, tables asserted identical
-  across tiers.  Floor: tile >= 1.5x over the single-word sweep (1.3x in
-  smoke mode); optional jit/gpu tiers are recorded when their dependency
-  is present and noted absent otherwise — never a failure.
+* **backends** — the 16x16 (and, under ``REPRO_BENCH_FULL=1``, 20x20)
+  card-2 dictionary build under :class:`WordBackend` and
+  :class:`TileBackend`, tables asserted identical.  Floor: tile >= 1.5x
+  over the single-word sweep (1.3x in smoke mode).
 * **scalar micro-benchmark** — the hoisted allocation-free single-query
   BFS (adaptive diagnosis's cost profile), pinned against an absolute
   queries/s floor plus a never-slower-than-the-allocating-formulation
@@ -47,7 +46,7 @@ from repro.sim import (
     ReachabilityKernel,
     Tester,
 )
-from repro.sim.backends import availability
+from repro.sim.backends import TileBackend, WordBackend
 from repro.sim.faults import stuck_at_faults
 
 SIZE = 6 if SMOKE else 8
@@ -85,7 +84,6 @@ def _record(section: str, payload: dict) -> None:
         "size": SIZE,
         "smoke": SMOKE,
         "backend_sizes": list(BACKEND_SIZES),
-        "backend_availability": availability(),
     }
     with open(BENCH_JSON, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -205,22 +203,19 @@ def test_campaign_throughput_speedup(benchmark, capsys):
 
 
 def _bench_backend_tiers(fpva, vectors, sample):
-    """Card-2 dictionary build per registry backend; tables must agree.
+    """Card-2 dictionary build per backend; tables must agree.
 
-    Each tier gets a fresh session (its own kernel compile + backend
-    attach), so the timed region covers exactly what a user selecting
-    that tier pays — including the tile backend's elimination-plan
-    compile.  Optional tiers without their dependency are recorded as
-    absent, never failed.
+    Each backend gets a fresh session (its own kernel compile + backend
+    attach), so the timed region covers exactly what a build on that
+    backend pays — including the tile backend's elimination-plan
+    compile.
     """
     stats: dict = {}
     tables = {}
-    for name, why in availability().items():
-        if why is not None:
-            stats[name] = {"available": False, "reason": why}
-            continue
-        context = ExecutionContext(fpva, kernel_backend=name)
+    for name, backend_cls in (("word", WordBackend), ("tile", TileBackend)):
         t0 = time.perf_counter()
+        context = ExecutionContext(fpva)
+        context.kernel.set_backend(backend_cls(context.kernel))
         built = FaultDictionary(
             fpva,
             vectors,
@@ -231,12 +226,10 @@ def _bench_backend_tiers(fpva, vectors, sample):
         seconds = time.perf_counter() - t0
         tables[name] = list(built._table.items())
         stats[name] = {
-            "available": True,
             "seconds": seconds,
             "fault_sets": sum(len(v) for v in built._table.values()),
         }
-    for name, table in tables.items():
-        assert table == tables["word"], f"backend {name!r} diverges from word"
+    assert tables["tile"] == tables["word"], "tile diverges from word"
     stats["tile_speedup_vs_word"] = (
         stats["word"]["seconds"] / stats["tile"]["seconds"]
     )
@@ -256,16 +249,10 @@ def test_backend_tier_floors(benchmark, capsys, size):
     benchmark.extra_info.update(stats)
     _record(f"backend_tiers_{size}x{size}_card2", stats)
     with capsys.disabled():
-        per_tier = ", ".join(
-            f"{name} {tier['seconds']:.2f}s"
-            if tier.get("available")
-            else f"{name} absent"
-            for name, tier in stats.items()
-            if isinstance(tier, dict)
-        )
         print(
-            f"\n{size}x{size} card-2 backend tiers ({len(sample)} faults x "
-            f"{len(vectors)} vectors): {per_tier} -> tile "
+            f"\n{size}x{size} card-2 backends ({len(sample)} faults x "
+            f"{len(vectors)} vectors): word {stats['word']['seconds']:.2f}s, "
+            f"tile {stats['tile']['seconds']:.2f}s -> tile "
             f"{stats['tile_speedup_vs_word']:.2f}x over word"
         )
     assert stats["tile_speedup_vs_word"] >= TILE_MIN_SPEEDUP, stats
@@ -311,10 +298,10 @@ def _bench_scalar_readings(kernel, masks):
         return best
 
     for mask in masks[:100]:  # exactness before wall-clock, as everywhere
-        assert kernel._scalar_readings(mask) == _alloc_readings_reference(
+        assert kernel.readings(mask) == _alloc_readings_reference(
             kernel, mask
         )
-    t_hoisted = best_of(lambda m: kernel._scalar_readings(m))
+    t_hoisted = best_of(lambda m: kernel.readings(m))
     t_alloc = best_of(lambda m: _alloc_readings_reference(kernel, m))
     return {
         "queries": len(masks),

@@ -1,6 +1,6 @@
 """Persistent artifact store: warm starts and streaming double-fault builds.
 
-Two acceptance measurements for the ``repro.store`` subsystem:
+Three acceptance measurements for the ``repro.store`` subsystem:
 
 * **warm-start** — building the 8x8 ``max_cardinality=2`` stuck-at
   dictionary cold (simulate + persist) vs re-constructing it from the
@@ -14,14 +14,10 @@ Two acceptance measurements for the ``repro.store`` subsystem:
   suite must delta-build bit-identically while simulating **>=10x**
   fewer scenarios than the cold rebuild (only the new column is
   simulated); wall-clock must clear a 5x floor.
-* **incremental promotion** — raising ``max_cardinality`` 2->3 reuses
-  every stored row and simulates only the triple tier; floor is on the
-  deterministic scenario counts, with wall-clock recorded for the
-  trajectory.
 
 Results are written to ``BENCH_store.json`` (override with
 ``REPRO_BENCH_STORE_JSON``) so the warm/cold trajectory is tracked across
-PRs; ``REPRO_BENCH_SMOKE=1`` shrinks both configurations for the CI smoke
+PRs; ``REPRO_BENCH_SMOKE=1`` shrinks every configuration for the CI smoke
 step.
 """
 
@@ -65,9 +61,6 @@ INC_APPEND_MIN_SPEEDUP = 1.5 if SMOKE else 5.0
 #: Scenario counts are deterministic, so the simulation-avoidance floor
 #: holds at every scale even where wall-clock is overhead-bound.
 INC_APPEND_MIN_SCENARIO_RATIO = 10.0
-#: Universe slice for the cardinality-3 promotion bench — the full
-#: stuck-at universe's triple tier is combinatorially out of reach.
-PROMOTE_UNIVERSE = 24 if SMOKE else 36
 
 
 def _record(section: str, payload: dict) -> None:
@@ -296,80 +289,3 @@ def test_incremental_append_speedup(benchmark, tmp_path, capsys):
         stats["cold_scenarios"]
         >= INC_APPEND_MIN_SCENARIO_RATIO * stats["delta_scenarios"]
     ), stats
-
-
-def _bench_incremental_promotion(fpva, vectors, universe, root):
-    cold_store = ArtifactStore(root / "cold")
-    t0 = time.perf_counter()
-    cold = FaultDictionary(
-        fpva,
-        vectors,
-        universe=universe,
-        max_cardinality=3,
-        store=cold_store,
-        incremental=False,
-    )
-    t_cold = time.perf_counter() - t0
-
-    inc_store = ArtifactStore(root / "inc")
-    ancestor = FaultDictionary(
-        fpva,
-        vectors,
-        universe=universe,
-        max_cardinality=2,
-        store=inc_store,
-        incremental=False,
-    )
-    t0 = time.perf_counter()
-    delta = FaultDictionary(
-        fpva, vectors, universe=universe, max_cardinality=3, store=inc_store
-    )
-    t_delta = time.perf_counter() - t0
-
-    assert delta.build_stats["mode"] == "delta", delta.build_stats
-    assert delta.build_stats["reused_sets"] == ancestor.total_fault_sets
-    assert list(delta._table.items()) == list(cold._table.items())
-
-    return {
-        "universe": len(universe),
-        "fault_sets": cold.total_fault_sets,
-        "reused_sets": delta.build_stats["reused_sets"],
-        "promoted_sets": delta.build_stats["promoted_sets"],
-        "cold_build_seconds": t_cold,
-        "delta_build_seconds": t_delta,
-        "speedup": t_cold / t_delta,
-        "cold_scenarios": cold.build_stats["simulated_scenarios"],
-        "delta_scenarios": delta.build_stats["simulated_scenarios"],
-    }
-
-
-def test_incremental_promotion_scenarios(benchmark, tmp_path, capsys):
-    """Acceptance: promoting a stored card-2 dictionary to card-3 reuses
-    every row and never simulates more scenarios than the cold build.
-
-    The floor sits on the deterministic scenario counts rather than
-    wall-clock: the triple tier dominates both builds, so the timing
-    ratio is noise-bound, but the reuse accounting is exact.
-    """
-    fpva = full_layout(
-        STREAM_SIZE, STREAM_SIZE, name=f"store-promote-{STREAM_SIZE}"
-    )
-    vectors = generate_suite(fpva).all_vectors()
-    universe = stuck_at_faults(fpva)[:PROMOTE_UNIVERSE]
-    stats = pedantic_once(
-        benchmark, _bench_incremental_promotion, fpva, vectors, universe,
-        tmp_path,
-    )
-    benchmark.extra_info.update(stats)
-    _record(
-        f"incremental_promotion_{STREAM_SIZE}x{STREAM_SIZE}_card3", stats
-    )
-    with capsys.disabled():
-        print(
-            f"\n{STREAM_SIZE}x{STREAM_SIZE} card-3 promotion "
-            f"({stats['reused_sets']} reused, {stats['promoted_sets']} "
-            f"promoted): cold {stats['cold_build_seconds']:.1f}s vs delta "
-            f"{stats['delta_build_seconds']:.1f}s -> "
-            f"{stats['speedup']:.1f}x"
-        )
-    assert stats["delta_scenarios"] <= stats["cold_scenarios"], stats

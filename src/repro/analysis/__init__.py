@@ -11,12 +11,15 @@ rule  name                      invariant protected
 R1    determinism               results are a pure function of (inputs, seed)
 R2    atomic-publish            readers never see torn artifacts
 R3    session-discipline        one kernel compile, via ExecutionContext
-R4    deprecated-spellings      internal code models the current API
 R5    broad-except              corruption errors reach the healer
 R6    lease-discipline          exactly one claim winner per shard
 R7    fork-safety               no shared mutable module state in workers
 R8    dtype-hygiene             no silent uint64 promotions on the hot path
 ====  ========================  =====================================
+
+R4 (no internal use of deprecated call spellings) is retired along with
+the spellings it policed; its id is not reused, because suppression
+comments cite rules by id.
 
 Run it with ``python -m repro.analysis`` (or ``python -m repro lint``);
 suppress a deliberate finding inline with ``# repro: ignore[R1] -- why``

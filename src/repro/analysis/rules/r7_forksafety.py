@@ -6,7 +6,7 @@ workers diverge silently between processes, and mutable default
 arguments accumulate state across calls within one worker — both make
 "same shard, same bytes" a lie that only shows up under ``--workers``.
 
-Deliberate per-process caches (the kernel memo, the backend registry)
+Deliberate per-process caches (the kernel memo, the scenario registry)
 are real and stay — with an inline ``# repro: ignore[R7]`` naming the
 reason, so every shared-state site is enumerable by grep.
 """

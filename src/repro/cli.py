@@ -22,9 +22,9 @@ Commands
               ``--journal-dir`` reroutes the identical shard structure
               through the campaign fabric: completed shards publish
               durably, a killed run resumes from the last published shard
-              (``--resume`` insists a journal exists), ``--scheduler``
-              picks the shard assignment, ``--json`` saves the merged
-              sweep — bit-identical to the in-memory path either way.
+              (``--resume`` insists a journal exists), ``--json`` saves
+              the merged sweep — bit-identical to the in-memory path
+              either way.
 ``diagnose``  Inject random faults and localize them with the dictionary —
               ``--adaptive`` schedules vectors one at a time by information
               gain instead of applying the whole suite; ``--cache-dir``
@@ -82,19 +82,6 @@ def _context(args, fpva=None) -> ExecutionContext:
         fpva if fpva is not None else _layout(args),
         cache_dir=getattr(args, "cache_dir", None),
         seed=getattr(args, "seed", 0),
-        kernel_backend=getattr(args, "kernel_backend", None),
-    )
-
-
-def _add_backend_arg(p):
-    from repro.sim.backends import backend_names
-
-    p.add_argument(
-        "--kernel-backend",
-        choices=backend_names(),
-        default=None,
-        help="kernel propagation tier (default: tile, or "
-        "$REPRO_KERNEL_BACKEND; unavailable tiers warn and fall back)",
     )
 
 
@@ -168,7 +155,7 @@ def cmd_campaign(args) -> int:
         # is bit-identical to the in-memory path below.
         from repro.fabric import CampaignSpec, run_journaled_sweep
 
-        mode, kernel, kernel_backend = ctx.shipping_spec()
+        mode, kernel = ctx.shipping_spec()
         spec = CampaignSpec(
             fpva=fpva,
             vectors=tuple(suite.all_vectors()),
@@ -185,11 +172,9 @@ def cmd_campaign(args) -> int:
             spec,
             args.journal_dir,
             workers=args.workers,
-            scheduler=args.scheduler,
             resume=args.resume,
             mode=mode,
             kernel=kernel,
-            kernel_backend=kernel_backend,
             **extra,
         )
         print(f"journal: {stats.summary()}")
@@ -250,8 +235,7 @@ def _build_status(dictionary) -> str:
         return (
             f"delta-built from {stats['parent'][:12]} "
             f"({stats['new_vectors']} new vectors, "
-            f"{stats['reused_sets']} reused sets, "
-            f"{stats['promoted_sets']} promoted)"
+            f"{stats['reused_sets']} reused sets)"
         )
     return "cold-built"
 
@@ -412,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None,
                    help="artifact store; generation warm-loads the compiled "
                         "kernel from here (see `warm --table1`)")
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("table1", help="regenerate the paper's Table I")
@@ -421,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None,
                    help="artifact store; each row warm-loads its compiled "
                         "kernel from here (see `warm --table1`)")
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("show", help="render an array as ASCII")
@@ -451,10 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="insist the journal already exists (guards a "
                         "mistyped --journal-dir from silently starting "
                         "a fresh campaign); requires --journal-dir")
-    p.add_argument("--scheduler", choices=("greedy", "ilp"), default="greedy",
-                   help="shard-to-worker assignment: greedy cost model or "
-                        "ILP makespan solve over measured worker profiles "
-                        "(advisory — results are identical either way)")
     p.add_argument("--max-attempts", type=int, default=None, metavar="N",
                    help="journaled runs: attempts before a repeatedly "
                         "failing shard is quarantined as poison instead of "
@@ -464,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the merged sweep results as JSON "
                         "(a degraded sweep adds a 'quarantined' key "
                         "listing the withheld shards)")
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("diagnose", help="inject faults and localize them")
@@ -488,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "artifact instead of auto-resolving the nearest one "
                         "(still validated; falls back to a cold build when "
                         "incompatible); requires --cache-dir")
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser(
@@ -503,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cardinality", type=int, choices=(1, 2, 3), default=1,
                    help="max faults per dictionary entry (2 streams the "
                         "quadratic double-fault universe to disk; 3 the "
-                        "cubic triple-fault one — prefer promoting an "
-                        "existing cardinality-2 artifact incrementally)")
+                        "cubic triple-fault one)")
     p.add_argument("--base-digest", default=None, metavar="DIGEST",
                    help="pin the incremental dictionary build to this "
                         "stored ancestor artifact instead of auto-resolving "
@@ -513,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table1", action="store_true",
                    help="instead: prebuild/report the kernel artifacts for "
                         "every Table I generation layout")
-    _add_backend_arg(p)
     p.set_defaults(func=cmd_warm)
 
     p = sub.add_parser("store", help="artifact-store maintenance")

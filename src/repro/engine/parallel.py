@@ -12,7 +12,7 @@ only changes wall-clock.
 The array is compiled into a
 :class:`~repro.sim.kernel.ReachabilityKernel` **once** per campaign.  By
 default the kernel rides to every shard pickled inside the payload; with
-``cache_dir`` set it is persisted through the
+a session store configured it is persisted through the
 :class:`~repro.store.KernelStore` instead and the payload carries only the
 artifact *path* — each worker process loads the flat arrays once and
 memoizes them across its shards, so wide sweeps stop serializing a kernel
@@ -57,50 +57,21 @@ _KERNEL_MEMO: dict[str, ReachabilityKernel] = {}
 #: Per-process session memo for path-shipped payloads: shards carrying the
 #: same artifact path share one ExecutionContext, so evaluator scenario
 #: pools (and any dictionary warm state) persist across a worker's shards.
-# repro: ignore[R7] -- deliberate per-process cache: populated only inside a worker, keyed by (artifact path, backend tier), never shared across processes
+# repro: ignore[R7] -- deliberate per-process cache: populated only inside a worker, keyed by artifact path, never shared across processes
 _CONTEXT_MEMO: dict = {}
 
 
-def _resolve_shipping(fpva, backend: str | None, cache_dir, context):
-    """Normalize (legacy kwargs | context) to
-    ``(backend, kernel_spec, kernel_backend)``.
+def _resolve_shipping(fpva, context):
+    """``(backend, kernel_spec)`` a session's shard payloads carry.
 
     The kernel spec is what rides in shard payloads: ``None`` for the
-    legacy backend, the compiled kernel object without a cache, or the
-    persisted artifact's path (a string) with one.  ``kernel_backend`` is
-    the propagation-tier *name* — the stored artifact is backend-agnostic,
-    so each worker re-attaches the tier to its memoized kernel (a no-op
-    after the first shard).  A context supplies its session kernel, store
-    and tier; the pre-context ``backend=``/``cache_dir=`` keywords remain
-    as deprecation shims for one release and warn when passed.
+    object engine (``backend="legacy"``), the compiled kernel object
+    without a store, or the persisted artifact's path (a string) with
+    one — see :meth:`~repro.context.ExecutionContext.shipping_spec`.
     """
-    if context is not None:
-        if backend is not None or cache_dir is not None:
-            raise ValueError(
-                "pass either context= or the legacy backend=/cache_dir= "
-                "arguments, not both"
-            )
-        from repro.context import ExecutionContext
+    from repro.context import ExecutionContext
 
-        context = ExecutionContext.resolve(context, fpva)
-        return context.shipping_spec()
-    kernel_backend = None
-    if backend is not None:
-        from repro.sim.backends import resolve_legacy_engine
-
-        engine, kernel_backend = resolve_legacy_engine(backend, "sweep")
-        if engine == "object":
-            return "legacy", None, None
-    if cache_dir is None:
-        # repro: ignore[R3] -- legacy shipping shim: pre-context callers with no store get a pickled kernel, by design
-        return "kernel", ReachabilityKernel(fpva), kernel_backend
-    from repro.store import ArtifactStore
-
-    store = ArtifactStore(cache_dir)
-    if not store.kernels.has(fpva):
-        # repro: ignore[R3] -- legacy shipping shim: seeds the store for cache_dir= callers that bypass ExecutionContext
-        store.kernels.save(ReachabilityKernel(fpva))
-    return "kernel", str(store.kernels.path_for(fpva)), kernel_backend
+    return ExecutionContext.resolve(context, fpva).shipping_spec()
 
 
 def _resolve_kernel(fpva, kernel):
@@ -133,7 +104,7 @@ def _resolve_kernel(fpva, kernel):
     return cached.fpva, cached
 
 
-def _shard_session(fpva, backend, kernel, kernel_backend):
+def _shard_session(fpva, backend, kernel):
     """A fresh session for one run of shards (a drain or a serial loop).
 
     Every shard the run executes shares the session's kernel, fault
@@ -147,10 +118,10 @@ def _shard_session(fpva, backend, kernel, kernel_backend):
     if backend == "legacy":
         return ExecutionContext(fpva, engine="object")
     fpva, resolved = _resolve_kernel(fpva, kernel)
-    return ExecutionContext(fpva, kernel=resolved, kernel_backend=kernel_backend)
+    return ExecutionContext(fpva, kernel=resolved)
 
 
-def _shard_context(fpva, backend, kernel, kernel_backend):
+def _shard_context(fpva, backend, kernel):
     """The session a pool-mapped shard runs under.
 
     Pool workers see one payload at a time, so shards whose payloads name
@@ -163,22 +134,19 @@ def _shard_context(fpva, backend, kernel, kernel_backend):
     passing one :func:`_shard_session` to every :func:`_run_shard`.
     """
     if backend == "legacy" or not isinstance(kernel, str):
-        return _shard_session(fpva, backend, kernel, kernel_backend)
-    key = (kernel, kernel_backend)
-    context = _CONTEXT_MEMO.get(key)
+        return _shard_session(fpva, backend, kernel)
+    context = _CONTEXT_MEMO.get(kernel)
     if context is None:
-        context = _CONTEXT_MEMO[key] = _shard_session(
-            fpva, backend, kernel, kernel_backend
-        )
+        context = _CONTEXT_MEMO[kernel] = _shard_session(fpva, backend, kernel)
     return context
 
 
 def _run_shard(payload, context=None) -> CampaignResult:
     """Simulate one shard payload, on ``context`` when one is given."""
     (fpva, vectors, num_faults, trials, shard_seed, include_control_leaks,
-     keep_undetected, scenario, backend, kernel, kernel_backend) = payload
+     keep_undetected, scenario, backend, kernel) = payload
     if context is None:
-        context = _shard_context(fpva, backend, kernel, kernel_backend)
+        context = _shard_context(fpva, backend, kernel)
     return _run_serial(
         context.fpva,
         vectors,
@@ -204,7 +172,6 @@ def _shard_payloads(
     shard_trials,
     backend,
     kernel,
-    kernel_backend,
 ):
     payloads = []
     shard = 0
@@ -223,7 +190,6 @@ def _shard_payloads(
                 scenario,
                 backend,
                 kernel,
-                kernel_backend,
             )
         )
         remaining -= size
@@ -258,11 +224,9 @@ def _run_journaled(
     shard_trials,
     mode,
     kernel,
-    kernel_backend,
     workers,
     journal_dir,
     resume,
-    scheduler,
     max_attempts=None,
 ):
     """The fabric path shared by the journaled campaign and sweep."""
@@ -284,11 +248,9 @@ def _run_journaled(
         spec,
         journal_dir,
         workers=workers,
-        scheduler=scheduler,
         resume=resume,
         mode=mode,
         kernel=kernel,
-        kernel_backend=kernel_backend,
         **extra,
     )
     return results
@@ -305,17 +267,13 @@ def run_campaign(
     keep_undetected: int = 10,
     scenario=None,
     shard_trials: int = SHARD_TRIALS,
-    backend: str | None = None,
-    cache_dir: str | os.PathLike | None = None,
     context=None,
     journal_dir: str | os.PathLike | None = None,
     resume: bool = False,
-    scheduler: str = "greedy",
 ) -> CampaignResult:
     """Sharded campaign; result is independent of ``workers`` *and* of
     whether the kernel ships by artifact path or by pickle.  ``context``
-    supplies the session kernel/store/backend tier; the ``backend=``/
-    ``cache_dir=`` keywords remain as deprecation shims for one release.
+    supplies the session engine, kernel and store.
 
     ``journal_dir`` reroutes the identical shard structure through the
     campaign fabric (:mod:`repro.fabric`): shards publish durably as they
@@ -324,15 +282,12 @@ def run_campaign(
     against the same (suite, scenario, seed) reuses these shards.  The
     no-journal path stays the in-memory fast case.
     """
-    backend, kernel, kernel_backend = _resolve_shipping(
-        fpva, backend, cache_dir, context
-    )
+    backend, kernel = _resolve_shipping(fpva, context)
     if journal_dir is not None:
         return _run_journaled(
             fpva, vectors, (num_faults,), trials, seed,
             include_control_leaks, keep_undetected, scenario, shard_trials,
-            backend, kernel, kernel_backend, workers, journal_dir, resume,
-            scheduler,
+            backend, kernel, workers, journal_dir, resume,
         )[num_faults]
     payloads = _shard_payloads(
         fpva,
@@ -346,10 +301,9 @@ def run_campaign(
         shard_trials,
         backend,
         kernel,
-        kernel_backend,
     )
     if workers <= 1 or len(payloads) <= 1:
-        session = _shard_session(fpva, backend, kernel, kernel_backend)
+        session = _shard_session(fpva, backend, kernel)
         shards = [_run_shard(p, session) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -368,12 +322,9 @@ def run_sweep(
     keep_undetected: int = 10,
     scenario=None,
     shard_trials: int = SHARD_TRIALS,
-    backend: str | None = None,
-    cache_dir: str | os.PathLike | None = None,
     context=None,
     journal_dir: str | os.PathLike | None = None,
     resume: bool = False,
-    scheduler: str = "greedy",
 ) -> dict[int, CampaignResult]:
     """The paper's k-faults sweep, with all (k, shard) tasks in one pool.
 
@@ -387,20 +338,15 @@ def run_sweep(
     campaign fabric: every completed shard publishes atomically into the
     journal, a killed sweep resumes from the last published shard (with
     any worker count — the merge is bit-identical regardless), and
-    re-running a finished sweep simulates nothing.  ``scheduler`` picks
-    the shard-to-worker assignment (``"greedy"`` cost model or ``"ilp"``
-    makespan solve over measured worker profiles); ``resume=True``
+    re-running a finished sweep simulates nothing; ``resume=True``
     additionally insists the journal already exists.
     """
-    backend, kernel, kernel_backend = _resolve_shipping(
-        fpva, backend, cache_dir, context
-    )
+    backend, kernel = _resolve_shipping(fpva, context)
     if journal_dir is not None:
         return _run_journaled(
             fpva, vectors, tuple(fault_counts), trials, seed,
             include_control_leaks, keep_undetected, scenario, shard_trials,
-            backend, kernel, kernel_backend, workers, journal_dir, resume,
-            scheduler,
+            backend, kernel, workers, journal_dir, resume,
         )
     tagged: list[tuple[int, tuple]] = []
     for k in fault_counts:
@@ -416,11 +362,10 @@ def run_sweep(
             shard_trials,
             backend,
             kernel,
-            kernel_backend,
         ):
             tagged.append((k, payload))
     if workers <= 1 or len(tagged) <= 1:
-        session = _shard_session(fpva, backend, kernel, kernel_backend)
+        session = _shard_session(fpva, backend, kernel)
         shard_results = [(k, _run_shard(p, session)) for k, p in tagged]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

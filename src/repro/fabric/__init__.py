@@ -7,17 +7,16 @@ descriptor (:mod:`repro.fabric.descriptors`), publishes completed shards
 atomically into a :class:`ShardStore` (:mod:`repro.fabric.shards`, the
 store subsystem's ``meta.json`` completeness-marker pattern), and tracks
 pending/leased/done in a :class:`CampaignJournal`
-(:mod:`repro.fabric.journal`) that any number of independent processes —
-on any kernel backend tier — can drain concurrently.  A killed run
+(:mod:`repro.fabric.journal`) that any number of independent processes
+can drain concurrently.  A killed run
 resumes from the last published shard; re-running a finished campaign is
 a pure cache hit; and the merge (:func:`repro.sim.campaign.merge_shards`)
 reads shards in canonical order, so the aggregate is bit-identical to
 the uninterrupted ``workers=1`` run whatever happened along the way.
 
-Shard-to-worker assignment is a pluggable scheduler seam
-(:mod:`repro.fabric.scheduler`): a greedy LPT cost model by default, an
-exact ILP makespan solve over measured per-worker throughput profiles on
-request — advisory only, the lease protocol owns correctness.
+Shard-to-worker assignment (:mod:`repro.fabric.scheduler`) is greedy
+LPT over measured per-worker throughput profiles — advisory only, the
+lease protocol owns correctness.
 
 Supervision (:mod:`repro.fabric.supervision`, :mod:`repro.fabric.retry`)
 bounds what crashes *cost*: durable per-shard attempt counts (burned at
@@ -52,14 +51,7 @@ from repro.fabric.runner import (
     load_sweep,
     run_journaled_sweep,
 )
-from repro.fabric.scheduler import (
-    GreedyScheduler,
-    IlpScheduler,
-    WorkerProfile,
-    get_scheduler,
-    measure_profiles,
-    scheduler_names,
-)
+from repro.fabric.scheduler import WorkerProfile, assign_shards, measure_profiles
 from repro.fabric.shards import ShardStore
 from repro.fabric.supervision import SupervisionLedger
 
@@ -70,8 +62,6 @@ __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "DONE",
     "DrainStats",
-    "GreedyScheduler",
-    "IlpScheduler",
     "JournalMismatch",
     "LEASED",
     "PENDING",
@@ -82,9 +72,8 @@ __all__ = [
     "ShardWorker",
     "SupervisionLedger",
     "WorkerProfile",
-    "get_scheduler",
+    "assign_shards",
     "load_sweep",
     "measure_profiles",
     "run_journaled_sweep",
-    "scheduler_names",
 ]

@@ -359,12 +359,9 @@ class CampaignJournal:
         *,
         worker: str = "",
         elapsed: float = 0.0,
-        backend: str | None = None,
     ) -> None:
         """Atomically publish a completed shard, then release its lease."""
-        self.publish_result(
-            descriptor, result, worker=worker, elapsed=elapsed, backend=backend
-        )
+        self.publish_result(descriptor, result, worker=worker, elapsed=elapsed)
         self.release(descriptor)
 
     def publish_result(
@@ -374,7 +371,6 @@ class CampaignJournal:
         *,
         worker: str = "",
         elapsed: float = 0.0,
-        backend: str | None = None,
     ) -> None:
         """The store publish alone (no lease release) — the two-step spelling
         the crash-injection harness drives to model a death between them."""
@@ -384,5 +380,4 @@ class CampaignJournal:
             result,
             worker=worker or self.owner,
             elapsed=elapsed,
-            backend=backend,
         )

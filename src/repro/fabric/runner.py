@@ -8,8 +8,7 @@ pooled, runs the same loop::
 against one shared :class:`~repro.fabric.journal.CampaignJournal`.  All
 coordination is the journal's lease protocol, so any number of
 independent *processes* (not just this pool's — anything pointed at the
-same directory, on any backend tier) can drain concurrently, crash, and
-resume; the merge only ever reads published shard artifacts in canonical
+same directory) can drain concurrently, crash, and resume; the merge only ever reads published shard artifacts in canonical
 ``(k, shard)`` order, which is what keeps the aggregate bit-identical to
 the uninterrupted ``workers=1`` run regardless of worker count, crash
 point, or resume order.
@@ -56,7 +55,7 @@ from repro.store.integrity import ArtifactCorruptionError
 from repro.fabric.descriptors import CampaignSpec, ShardDescriptor
 from repro.fabric.journal import DEFAULT_LEASE_TIMEOUT, CampaignJournal
 from repro.fabric.retry import DEFAULT_MAX_ATTEMPTS, RetryPolicy
-from repro.fabric.scheduler import get_scheduler, measure_profiles
+from repro.fabric.scheduler import assign_shards, measure_profiles
 
 if TYPE_CHECKING:
     from repro.context import ExecutionContext
@@ -81,7 +80,6 @@ class DrainStats:
     cache_hits: int     #: shards already published before this invocation
     reclaimed: int      #: stale leases reclaimed along the way
     workers: int
-    scheduler: str
     retried: int = 0    #: shard attempts that were retries after a failure
     healed: int = 0     #: corrupt artifacts quarantined and re-published
     #: Poison diagnostic records of shards whose attempt budget is
@@ -104,10 +102,7 @@ class DrainStats:
             text += f", {self.healed} healed"
         if self.quarantined:
             text += f", {len(self.quarantined)} QUARANTINED"
-        text += (
-            f" ({self.total} shards, {self.workers} worker(s), "
-            f"scheduler={self.scheduler})"
-        )
+        text += f" ({self.total} shards, {self.workers} worker(s))"
         return text
 
     def report(self) -> dict:
@@ -118,7 +113,6 @@ class DrainStats:
             "cache_hits": self.cache_hits,
             "reclaimed": self.reclaimed,
             "workers": self.workers,
-            "scheduler": self.scheduler,
             "retried": self.retried,
             "healed": self.healed,
             "degraded": self.degraded,
@@ -132,10 +126,10 @@ class ShardWorker:
     ``order`` is the claim preference (typically this worker's scheduler
     queue followed by everyone else's, for work stealing); the journal's
     lease protocol arbitrates every claim, so preferences only shape wall
-    clock.  ``mode``/``kernel``/``kernel_backend`` mirror the in-memory
-    pool's shard payload: ``mode="legacy"`` runs the object engine,
-    otherwise ``kernel`` is a compiled kernel, an artifact path, or
-    ``None`` (compile locally), attached to the named backend tier.
+    clock.  ``mode``/``kernel`` mirror the in-memory pool's shard
+    payload: ``mode="legacy"`` runs the object engine, otherwise
+    ``kernel`` is a compiled kernel, an artifact path, or ``None``
+    (compile locally).
 
     The worker resolves one simulation session on its first shard and
     runs every later shard on it, so a drain builds its kernel, fault
@@ -159,7 +153,6 @@ class ShardWorker:
         worker_id: str = "w0",
         mode: str = "kernel",
         kernel: "ReachabilityKernel | str | None" = None,
-        kernel_backend: str | None = None,
         retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -169,7 +162,6 @@ class ShardWorker:
         self.worker_id = worker_id
         self.mode = mode
         self.kernel = kernel
-        self.kernel_backend = kernel_backend
         self.retry = retry if retry is not None else RetryPolicy()
         self.sleep = sleep
         self.executed = 0
@@ -187,9 +179,7 @@ class ShardWorker:
 
         spec = self.spec
         if self._session is None:
-            self._session = _shard_session(
-                spec.fpva, self.mode, self.kernel, self.kernel_backend
-            )
+            self._session = _shard_session(spec.fpva, self.mode, self.kernel)
         return _run_shard(
             (
                 spec.fpva,
@@ -202,7 +192,6 @@ class ShardWorker:
                 spec.scenario,
                 self.mode,
                 self.kernel,
-                self.kernel_backend,
             ),
             self._session,
         )
@@ -267,7 +256,6 @@ class ShardWorker:
                 result,
                 worker=self.worker_id,
                 elapsed=elapsed,
-                backend=self.kernel_backend,
             )
             self.checkpoint("post-publish", descriptor)
             self.journal.release(descriptor)
@@ -289,7 +277,6 @@ def _drain_process(
     preferred: list[str],
     mode: str,
     kernel: "ReachabilityKernel | str | None",
-    kernel_backend: str | None,
     lease_timeout: float,
     retry: RetryPolicy,
 ) -> tuple[int, int, int, int]:
@@ -307,7 +294,6 @@ def _drain_process(
         worker_id=worker_id,
         mode=mode,
         kernel=kernel,
-        kernel_backend=kernel_backend,
         retry=retry,
     )
     executed = worker.drain()
@@ -326,7 +312,7 @@ def _prepare_kernel(
     A pool never pickles a kernel per process when it can ship a path:
     an in-memory kernel headed to a multi-process drain is persisted into
     the journal's own ``kernels/`` store (the journal is durable anyway),
-    so heterogeneous processes attached later warm-load the same artifact.
+    so processes attached later warm-load the same artifact.
     """
     if mode == "legacy" or isinstance(kernel, str) or workers <= 1:
         return kernel
@@ -409,14 +395,11 @@ def run_journaled_sweep(
     journal_dir: str | os.PathLike,
     *,
     workers: int = 1,
-    scheduler: str = "greedy",
     resume: bool = False,
     lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     clock: Callable[[], float] = time.time,
     mode: str = "kernel",
     kernel: "ReachabilityKernel | str | None" = None,
-    kernel_backend: str | None = None,
-    worker_backends: Sequence[str | None] | None = None,
     worker_cls: type[ShardWorker] = ShardWorker,
     poll_interval: float = POLL_INTERVAL,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -427,11 +410,10 @@ def run_journaled_sweep(
 
     Re-invoking on a finished journal simulates nothing and reports every
     shard as a cache hit; a killed run resumes from the last published
-    shard, with stale leases reclaimed on the way.  ``worker_backends``
-    optionally pins a kernel tier per pool worker (cycled), which is how
-    a heterogeneous fleet drains one journal — results are bit-identical
-    by the backends' own equivalence guarantee.  ``worker_cls`` is the
-    crash-injection seam (single-process drains only).
+    shard, with stale leases reclaimed on the way.  Pool workers claim
+    in the order :func:`~repro.fabric.scheduler.assign_shards` gives
+    them, then steal.  ``worker_cls`` is the crash-injection seam
+    (single-process drains only).
 
     Supervision: a shard whose workload fails is retried with bounded
     exponential backoff (``retry``/``max_attempts``) and quarantined
@@ -484,10 +466,7 @@ def run_journaled_sweep(
         if remaining and use_pool and workers > 1:
             worker_ids = [f"w{i}" for i in range(workers)]
             profiles = measure_profiles(journal.store, descriptors)
-            queues = get_scheduler(scheduler).assign(
-                remaining, worker_ids, profiles
-            )
-            backends = list(worker_backends or [])
+            queues = assign_shards(remaining, worker_ids, profiles)
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(
@@ -498,7 +477,6 @@ def run_journaled_sweep(
                         [d.digest for d in queues[i]],
                         mode,
                         kernel,
-                        backends[i % len(backends)] if backends else kernel_backend,
                         lease_timeout,
                         retry,
                     )
@@ -532,7 +510,6 @@ def run_journaled_sweep(
                 worker_id="w0",
                 mode=mode,
                 kernel=kernel,
-                kernel_backend=kernel_backend,
                 retry=retry,
                 sleep=sleep,
             )
@@ -577,7 +554,6 @@ def run_journaled_sweep(
         cache_hits=done_before,
         reclaimed=reclaimed + journal.reclaimed,
         workers=workers,
-        scheduler=scheduler,
         retried=retried,
         healed=healed,
         quarantined=tuple(

@@ -1,49 +1,32 @@
-"""Shard-to-worker assignment: greedy cost model or ILP makespan solve.
+"""Shard-to-worker assignment: longest shard first, weighted by speed.
 
 Scheduling in the fabric is *advisory*: an assignment orders each
 worker's claim preferences, but every claim still goes through the
 journal's lease protocol, so a worker whose preferred shard is already
 done (or taken) simply moves on — correctness and bit-identical results
 never depend on the schedule.  What the schedule buys is wall clock on
-heterogeneous fleets: a worker measured 3x faster (say, a ``gpu``-tier
-process next to scalar ones) should be handed 3x the trial volume.
+uneven fleets: a worker measured 3x faster (say, one on an idle core
+next to workers sharing theirs) should be handed 3x the trial volume.
 
 Per-worker throughput profiles are measured, not configured: every
 published shard's ``meta.json`` records which worker ran it and how long
 it took (the Helix exemplar's profiled-cluster pattern), so a resumed
 campaign schedules against the speeds its own workers demonstrated.
 
-Two schedulers ship:
-
-=========  ==========================================================
-``greedy`` longest-processing-time first onto the worker with the
-           earliest weighted finish time — the default; O(n log n)
-``ilp``    exact makespan-minimizing assignment over the
-           :mod:`repro.ilp` substrate (binary ``x[shard, worker]``,
-           minimize the bottleneck finish time); falls back to greedy
-           when the solve is infeasible, times out, or the model would
-           be unreasonably large
-=========  ==========================================================
+:func:`assign_shards` is greedy LPT (longest processing time first):
+each shard, costliest first, goes to the worker with the earliest
+speed-weighted finish time — O(n log n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 from repro.store.integrity import ArtifactCorruptionError
 
 from repro.fabric.descriptors import ShardDescriptor
 from repro.fabric.shards import ShardStore
-
-#: Above this many assignment variables the ILP scheduler defers to
-#: greedy instead of building a model the solver would crawl through.
-ILP_MAX_VARIABLES = 2048
-
-#: Wall-clock budget for one assignment solve; an incumbent found within
-#: it is still used (FEASIBLE beats greedy more often than not).
-ILP_TIME_LIMIT = 5.0
-
 
 @dataclass(frozen=True)
 class WorkerProfile:
@@ -112,125 +95,28 @@ def _speeds(
     return speeds
 
 
-class Scheduler(Protocol):
-    """What a shard scheduler is: a named, pure assignment function."""
-
-    name: str
-
-    def assign(
-        self,
-        descriptors: Sequence[ShardDescriptor],
-        workers: Sequence[str],
-        profiles: dict[str, WorkerProfile] | None = None,
-    ) -> list[list[ShardDescriptor]]:
-        ...
-
-
-class GreedyScheduler:
-    """LPT onto the earliest-finishing worker, weighted by measured speed."""
-
-    name = "greedy"
-
-    def assign(
-        self,
-        descriptors: Sequence[ShardDescriptor],
-        workers: Sequence[str],
-        profiles: dict[str, WorkerProfile] | None = None,
-    ) -> list[list[ShardDescriptor]]:
-        speeds = _speeds(workers, profiles)
-        loads = [0.0] * len(workers)
-        queues: list[list[ShardDescriptor]] = [[] for _ in workers]
-        # Stable LPT: ties broken by (k, shard) so the assignment is a
-        # pure function of the inputs.
-        order = sorted(
-            descriptors,
-            key=lambda d: (-d.cost, d.num_faults, d.shard),
-        )
-        for descriptor in order:
-            finish = [
-                (loads[w] + descriptor.cost) / speeds[w]
-                for w in range(len(workers))
-            ]
-            target = min(range(len(workers)), key=lambda w: (finish[w], w))
-            loads[target] += descriptor.cost
-            queues[target].append(descriptor)
-        # Claim preference within one worker: canonical (k, shard) order,
-        # which keeps low-index shards landing early across the fleet.
-        for queue in queues:
-            queue.sort(key=lambda d: (d.num_faults, d.shard))
-        return queues
-
-
-class IlpScheduler:
-    """Exact makespan assignment via the :mod:`repro.ilp` substrate."""
-
-    name = "ilp"
-
-    def assign(
-        self,
-        descriptors: Sequence[ShardDescriptor],
-        workers: Sequence[str],
-        profiles: dict[str, WorkerProfile] | None = None,
-    ) -> list[list[ShardDescriptor]]:
-        fallback = GreedyScheduler()
-        if not descriptors or len(workers) <= 1:
-            return fallback.assign(descriptors, workers, profiles)
-        if len(descriptors) * len(workers) > ILP_MAX_VARIABLES:
-            return fallback.assign(descriptors, workers, profiles)
-        from repro.ilp import Model, SolveOptions, solve
-
-        speeds = _speeds(workers, profiles)
-        model = Model("shard-assignment")
-        # x[s][w] == 1 iff shard s runs on worker w.
-        x = [
-            [
-                model.binary_var(f"x_{s}_{w}")
-                for w in range(len(workers))
-            ]
-            for s in range(len(descriptors))
+def assign_shards(
+    descriptors: Sequence[ShardDescriptor],
+    workers: Sequence[str],
+    profiles: dict[str, WorkerProfile] | None = None,
+) -> list[list[ShardDescriptor]]:
+    """Per-worker claim queues: LPT onto the earliest-finishing worker,
+    weighted by measured speed."""
+    speeds = _speeds(workers, profiles)
+    loads = [0.0] * len(workers)
+    queues: list[list[ShardDescriptor]] = [[] for _ in workers]
+    # Stable LPT: ties broken by (k, shard) so the assignment is a pure
+    # function of the inputs.
+    order = sorted(descriptors, key=lambda d: (-d.cost, d.num_faults, d.shard))
+    for descriptor in order:
+        finish = [
+            (loads[w] + descriptor.cost) / speeds[w] for w in range(len(workers))
         ]
-        worst = sum(d.cost for d in descriptors) / min(speeds)
-        makespan = model.continuous_var("makespan", lb=0.0, ub=worst)
-        for s in range(len(descriptors)):
-            model.add_constraint(
-                sum(x[s], start=model.expr()) == 1, name=f"place_{s}"
-            )
-        for w in range(len(workers)):
-            load = model.expr()
-            for s, descriptor in enumerate(descriptors):
-                load = load + (descriptor.cost / speeds[w]) * x[s][w]
-            model.add_constraint(load <= makespan, name=f"finish_{w}")
-        model.minimize(makespan.to_expr())
-        solution = solve(model, SolveOptions(time_limit=ILP_TIME_LIMIT))
-        if not solution.has_solution:
-            return fallback.assign(descriptors, workers, profiles)
-        queues: list[list[ShardDescriptor]] = [[] for _ in workers]
-        for s, descriptor in enumerate(descriptors):
-            placed = max(
-                range(len(workers)), key=lambda w: solution.values[x[s][w]]
-            )
-            queues[placed].append(descriptor)
-        for queue in queues:
-            queue.sort(key=lambda d: (d.num_faults, d.shard))
-        return queues
-
-
-# repro: ignore[R7] -- scheduler registry: written once at import, read-only afterwards
-_SCHEDULERS = {
-    GreedyScheduler.name: GreedyScheduler,
-    IlpScheduler.name: IlpScheduler,
-}
-
-
-def scheduler_names() -> list[str]:
-    return sorted(_SCHEDULERS)
-
-
-def get_scheduler(name: str) -> Scheduler:
-    """Instantiate a scheduler by registry name."""
-    try:
-        return _SCHEDULERS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown scheduler {name!r}; registered: {scheduler_names()}"
-        ) from None
+        target = min(range(len(workers)), key=lambda w: (finish[w], w))
+        loads[target] += descriptor.cost
+        queues[target].append(descriptor)
+    # Claim preference within one worker: canonical (k, shard) order,
+    # which keeps low-index shards landing early across the fleet.
+    for queue in queues:
+        queue.sort(key=lambda d: (d.num_faults, d.shard))
+    return queues

@@ -5,7 +5,7 @@ completeness-marker pattern (:mod:`repro.store.dictionaries`)::
 
     <root>/<digest>/
         result.npz   # counts + undetected trial indices + pickled examples
-        meta.json    # provenance (worker, elapsed, backend); written LAST
+        meta.json    # provenance (worker, elapsed); written LAST
 
 ``meta.json`` is written last inside a temp directory that is atomically
 renamed into place, so a crashed worker never leaves a half-written shard
@@ -80,7 +80,6 @@ class ShardStore:
         *,
         worker: str = "",
         elapsed: float = 0.0,
-        backend: str | None = None,
     ) -> Path:
         """Atomically publish one shard's result; idempotent per digest."""
         if result.num_faults != descriptor.num_faults or (
@@ -127,7 +126,6 @@ class ShardStore:
                 "detected": result.detected,
                 "worker": worker,
                 "elapsed": float(elapsed),
-                "backend": backend,
                 "checksum": data_checksum(payload),
             }
             with open(tmp / "meta.json", "w") as fh:

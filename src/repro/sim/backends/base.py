@@ -1,19 +1,13 @@
 """Backend seam: the abstract contract every kernel backend implements.
 
-A :class:`KernelBackend` answers reachability for one compiled
-:class:`~repro.sim.kernel.ReachabilityKernel` at two granularities:
-
-* :meth:`reach_words` — the batched tier.  Inputs are the kernel's packed
-  scenario words (``(n_valves, W)`` / ``(n_edges, W)`` uint64, 64
-  scenarios per word); output is the ``(rows, W)`` reach matrix.  This is
-  the seam :meth:`ReachabilityKernel.batch_readings_bool` dispatches
-  through, so a backend swap changes *how* words propagate, never what a
-  scenario or a reading is.
-* :meth:`readings` / :meth:`reach_mask` — the scalar tier (one scenario,
-  arbitrary-precision int masks).  The default implementations delegate
-  to the kernel's hoisted-buffer BFS; the JIT tier overrides them with
-  compiled loops because adaptive diagnosis issues size-1 batches where
-  per-query Python overhead dominates.
+A :class:`KernelBackend` answers batched reachability for one compiled
+:class:`~repro.sim.kernel.ReachabilityKernel`: :meth:`reach_words` takes
+the kernel's packed scenario words (``(n_valves, W)`` / ``(n_edges, W)``
+uint64, 64 scenarios per word) and returns the ``(rows, W)`` reach
+matrix.  This is the seam :meth:`ReachabilityKernel.batch_readings_bool`
+dispatches through, so a backend swap changes *how* words propagate,
+never what a scenario or a reading is.  Single-scenario queries never
+reach a backend: the kernel answers them with its own scalar BFS.
 
 Backends hold only the kernel reference plus plain arrays derived from
 it, so a kernel pickled into a campaign shard payload carries its backend
@@ -30,25 +24,15 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only dependency
     from repro.sim.kernel import ReachabilityKernel
 
 
-class BackendUnavailable(RuntimeError):
-    """A registered backend cannot run here (missing optional dependency).
-
-    Carries the human-readable reason (e.g. ``"numba is not installed"``)
-    so callers can warn-and-fall-back or skip-with-reason; never raised
-    for misconfiguration, which stays a :class:`ValueError`.
-    """
-
-
 class KernelBackend:
     """One propagation strategy bound to one compiled kernel."""
 
-    #: Registry name; subclasses override.
+    #: Short name used in descriptions; subclasses override.
     name = "abstract"
 
     def __init__(self, kernel: "ReachabilityKernel"):
         self.kernel = kernel
 
-    # -- batched tier -------------------------------------------------------
     def reach_words(
         self,
         valve_words: np.ndarray,
@@ -66,15 +50,6 @@ class KernelBackend:
         is a column-tiling hint; backends that do not tile ignore it.
         """
         raise NotImplementedError
-
-    # -- scalar tier --------------------------------------------------------
-    def readings(self, open_mask: int, blocked_mask: int = 0) -> dict[str, bool]:
-        """Sink readings for one int-mask scenario (kernel BFS by default)."""
-        return self.kernel._scalar_readings(open_mask, blocked_mask)
-
-    def reach_mask(self, open_mask: int, blocked_mask: int = 0) -> bytearray:
-        """Per-node reach flags for one int-mask scenario."""
-        return self.kernel._scalar_reach(open_mask, blocked_mask)
 
     def describe(self) -> str:
         return f"{self.name} backend on {self.kernel!r}"

@@ -133,40 +133,11 @@ def campaign_universe(
     return tuple(scenario.universe(fpva))
 
 
-def _resolve_context(fpva, context, backend: str | None, kernel):
-    """Coerce the legacy ``backend=``/``kernel=`` plumbing to a session.
-
-    The old keyword arguments stay accepted as thin deprecation shims (one
-    release): explicitly passing either warns through the registry's
-    single deprecation path and parameterizes a fresh private
-    :class:`~repro.context.ExecutionContext` (``backend="kernel"`` routes
-    to the registry's default tier, ``"legacy"`` to the object engine).
-    Passing them *alongside* an explicit context is a contradiction and
-    raises.
-    """
+def _resolve_context(fpva, context):
+    """``context`` validated against ``fpva``, or a fresh private session."""
     from repro.context import ExecutionContext  # late: context sits above sim
 
-    if context is not None:
-        if backend is not None or kernel is not None:
-            raise ValueError(
-                "pass either context= or the legacy backend=/kernel= "
-                "arguments, not both"
-            )
-        return ExecutionContext.resolve(context, fpva)
-    if backend is None and kernel is None:
-        return ExecutionContext(fpva)
-    from repro.sim.backends import resolve_legacy_engine, warn_deprecated
-
-    engine, kernel_backend = "kernel", None
-    if backend is not None:
-        engine, kernel_backend = resolve_legacy_engine(backend, "campaign")
-    if kernel is not None:
-        warn_deprecated(
-            "campaign kernel=", "context=ExecutionContext(fpva, kernel=...)"
-        )
-    return ExecutionContext(
-        fpva, engine=engine, kernel=kernel, kernel_backend=kernel_backend
-    )
+    return ExecutionContext.resolve(context, fpva)
 
 
 def run_campaign(
@@ -178,8 +149,6 @@ def run_campaign(
     include_control_leaks: bool = True,
     keep_undetected: int = 10,
     scenario=None,
-    backend: str | None = None,
-    kernel=None,
     context=None,
 ) -> CampaignResult:
     """Inject ``num_faults`` random faults ``trials`` times; count detections.
@@ -197,11 +166,9 @@ def run_campaign(
     through the compiled bitmask kernel — 64 scenarios per machine word;
     an ``engine="object"`` session keeps the original chip-at-a-time loop.
     Both draw fault sets in the same RNG order and report bit-identical
-    :class:`CampaignResult`\\ s.  The pre-context ``backend=``/``kernel=``
-    keywords remain as deprecation shims for one release; they configure a
-    private session with the same semantics.
+    :class:`CampaignResult`\\ s.
     """
-    context = _resolve_context(fpva, context, backend, kernel)
+    context = _resolve_context(fpva, context)
     rng = random.Random(seed)
     universe = context.universe(scenario, include_control_leaks)
     if scenario is None:
@@ -277,8 +244,6 @@ def run_sweep(
     seed: int = 0,
     include_control_leaks: bool = True,
     scenario=None,
-    backend: str | None = None,
-    kernel=None,
     context=None,
 ) -> dict[int, CampaignResult]:
     """The paper's sweep: k = 1..5 faults, ``trials`` chips per k.
@@ -290,7 +255,7 @@ def run_sweep(
     streams collide across sweeps (``(seed=0, k=2)`` and ``(seed=1, k=1)``
     would inject identical chips).
     """
-    context = _resolve_context(fpva, context, backend, kernel)
+    context = _resolve_context(fpva, context)
     return {
         k: run_campaign(
             fpva,

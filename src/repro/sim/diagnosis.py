@@ -10,14 +10,14 @@ generated suite, then look up observed syndromes.
 Construction cost is dominated by repeated reachability simulation, and
 most fault sets induce states the suite has already seen — a stuck-at-0 on
 a valve a vector commands closed changes nothing, and thousands of double
-faults collapse onto the same effective ``(open, blocked)`` masks.  The
-default ``kernel`` backend therefore canonicalizes every (fault set,
-vector) pair to its effective-state masks, simulates each **distinct**
-scenario exactly once through the compiled bitmask kernel (64 scenarios
-per machine word), and assembles syndromes from the shared slot table.
-The ``legacy`` backend retains the original one-chip-at-a-time loop; both
-produce identical tables (asserted by the equivalence property test and
-``benchmarks/bench_kernel.py``).
+faults collapse onto the same effective ``(open, blocked)`` masks.  A
+kernel-engine session therefore canonicalizes every (fault set, vector)
+pair to its effective-state masks, simulates each **distinct** scenario
+exactly once through the compiled bitmask kernel (64 scenarios per
+machine word), and assembles syndromes from the shared slot table.  An
+``engine="object"`` session retains the original one-chip-at-a-time
+loop; both produce identical tables (asserted by the equivalence
+property test and ``benchmarks/bench_kernel.py``).
 
 Construction also **streams**: fault sets are enumerated lazily
 (:func:`iter_fault_sets`) and evaluated in bounded-size chunks, so the
@@ -65,23 +65,16 @@ DEFAULT_CHUNK_SIZE = 8192
 
 
 def iter_fault_sets(
-    universe: Sequence[Fault],
-    max_cardinality: int,
-    min_cardinality: int = 1,
+    universe: Sequence[Fault], max_cardinality: int
 ) -> Iterator[tuple[Fault, ...]]:
     """Lazily enumerate every diagnosable fault set of the universe.
 
     Singles first, then compatible pairs, then compatible triples — each
     tier in :func:`itertools.combinations` order, exactly the order the
     eager builds used, but never materialized as a list (higher tiers
-    grow polynomially).  Tiers are strictly ordered by cardinality, so
-    the cardinality-``c`` enumeration is an exact *prefix* of the
-    cardinality-``c+1`` one — the property incremental cardinality
-    promotion leans on; ``min_cardinality`` starts the stream at a later
-    tier (the promotion region: sets absent from a lower-cardinality
-    ancestor artifact).
+    grow polynomially).
     """
-    for cardinality in range(min_cardinality, max_cardinality + 1):
+    for cardinality in range(1, max_cardinality + 1):
         if cardinality == 1:
             for f in universe:
                 yield (f,)
@@ -141,7 +134,12 @@ def _count_fault_sets(universe: Sequence[Fault], max_cardinality: int) -> int:
                 if not faults_compatible((universe[a], universe[b])):
                     total -= 1
     if max_cardinality >= 3:
-        total += sum(1 for _ in iter_fault_sets(universe, 3, 3))
+        keys = _interned_keys(universe)
+        total += sum(
+            1
+            for idx in itertools.combinations(range(n), 3)
+            if _prefiltered_compatible(universe, keys, idx)
+        )
     return total
 
 
@@ -305,14 +303,13 @@ class FaultDictionary:
     ``context`` binds the dictionary to an
     :class:`~repro.context.ExecutionContext`: the session's kernel, tester
     and artifact store are shared instead of re-derived, and the session's
-    engine choice selects the build backend.  The pre-context plumbing
-    stays as thin deprecation shims for one release: ``kernel`` supplies a
-    pre-compiled :class:`~repro.sim.kernel.ReachabilityKernel` directly;
-    ``backend="legacy"`` forces the object-engine build; ``store`` (an
+    engine choice selects the build (``engine="object"`` takes the
+    one-chip-at-a-time legacy loop).  ``store`` (an
     :class:`~repro.store.ArtifactStore` or a cache-directory path) enables
     the warm-start/streaming persistence described in the module
-    docstring.  Without any of them the kernel is compiled lazily, on
-    first need — a legacy build never pays for one.
+    docstring when there is no session store.  The kernel is compiled
+    (or warm-loaded) lazily, on first need — a legacy build never pays
+    for one.
     """
 
     def __init__(
@@ -322,8 +319,6 @@ class FaultDictionary:
         include_control_leaks: bool = True,
         max_cardinality: int = 1,
         universe: Sequence[Fault] | None = None,
-        backend: str | None = None,
-        kernel: ReachabilityKernel | None = None,
         store=None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         context=None,
@@ -343,13 +338,7 @@ class FaultDictionary:
         if context is not None:
             from repro.context import ExecutionContext
 
-            if backend is not None or kernel is not None:
-                raise ValueError(
-                    "pass either context= or the legacy backend=/kernel= "
-                    "arguments, not both"
-                )
             context = ExecutionContext.resolve(context, fpva)
-            backend = "kernel" if context.batched else "legacy"
             if store is None:
                 store = context.store
             elif context.store is not None:
@@ -360,28 +349,14 @@ class FaultDictionary:
                     "pass either context= (with its store) or store=, "
                     "not both"
                 )
-        elif backend is not None or kernel is not None:
-            from repro.sim.backends import resolve_legacy_engine, warn_deprecated
-
-            if backend is not None:
-                engine, _ = resolve_legacy_engine(backend, "dictionary")
-                backend = "kernel" if engine == "kernel" else "legacy"
-            else:
-                backend = "kernel"
-            if kernel is not None:
-                warn_deprecated(
-                    "dictionary kernel=",
-                    "context=ExecutionContext(fpva, kernel=...)",
-                )
-        else:
-            backend = "kernel"
         self._context = context
         self.fpva = fpva
         self.vectors = list(vectors)
-        self.backend = backend
+        batched = context is None or context.batched
+        self.backend = "kernel" if batched else "legacy"
         self.max_cardinality = max_cardinality
         self.chunk_size = chunk_size
-        self._kernel = kernel
+        self._kernel: ReachabilityKernel | None = None
         self._tester: Tester | None = None
         self._table: dict[Syndrome, list[tuple[Fault, ...]]] = defaultdict(list)
 
@@ -496,10 +471,7 @@ class FaultDictionary:
                 self._record(faults, syndrome, writer)
 
     def _build_batched(
-        self,
-        fault_sets: Iterable[tuple[Fault, ...]],
-        writer=None,
-        evaluator: BatchEvaluator | None = None,
+        self, fault_sets: Iterable[tuple[Fault, ...]], writer=None
     ) -> int | None:
         """Canonicalize by effective state, simulate distinct states once.
 
@@ -511,24 +483,21 @@ class FaultDictionary:
 
         Returns the number of distinct scenarios simulated (the
         re-simulation probe ``build_stats`` reports), or ``None`` when
-        sink coverage forced the legacy fallback.  ``evaluator`` lets the
-        incremental build run its promotion region through a pre-checked
-        evaluator without re-raising the coverage fallback mid-delta.
+        sink coverage forced the legacy fallback.
         """
         kernel = self._require_kernel()
-        if evaluator is None:
-            try:
-                evaluator = BatchEvaluator(kernel, self.vectors)
-            except SinkCoverageError as exc:
-                # Vectors whose expectations do not cover the array's sinks
-                # cannot be compared row-wise; fall back to the reference path.
-                warnings.warn(
-                    f"batched dictionary build unavailable ({exc}); falling "
-                    f"back to the one-chip-at-a-time legacy engine",
-                    stacklevel=2,
-                )
-                self._build_legacy(fault_sets, writer)
-                return None
+        try:
+            evaluator = BatchEvaluator(kernel, self.vectors)
+        except SinkCoverageError as exc:
+            # Vectors whose expectations do not cover the array's sinks
+            # cannot be compared row-wise; fall back to the reference path.
+            warnings.warn(
+                f"batched dictionary build unavailable ({exc}); falling "
+                f"back to the one-chip-at-a-time legacy engine",
+                stacklevel=2,
+            )
+            self._build_legacy(fault_sets, writer)
+            return None
         fires_cache: dict = {}
         names = [v.name for v in self.vectors]
         syndrome_cache: dict[tuple[int, ...], Syndrome] = {}
@@ -554,11 +523,10 @@ class FaultDictionary:
     def _build_delta(self, base_digest: str | None) -> bool:
         """Assemble the table from a stored ancestor plus new work only.
 
-        Resolves the most reusable stored ancestor (same layout and
-        ordered universe, vector suite ⊆ ours, cardinality ≤ ours),
-        carries its rows into the table while simulating only the
-        genuinely *new* vectors against them, then enumerates only the
-        fault sets the ancestor's cardinality tier missed.  The published
+        Resolves the most reusable stored ancestor (same layout, ordered
+        universe and cardinality, vector suite ⊂ ours) and carries its
+        rows into the table while simulating only the genuinely *new*
+        vectors against them.  The published
         artifact is complete and self-contained under the target digest,
         and its canonical content — table entries, interned syndrome
         order, chunk rows — is bit-identical to what a cold build of the
@@ -591,7 +559,7 @@ class FaultDictionary:
         anc = plan.ancestor
         kernel = self._require_kernel()
         try:
-            evaluator = BatchEvaluator(kernel, self.vectors)
+            BatchEvaluator(kernel, self.vectors)  # the sink-coverage check
         except SinkCoverageError:
             return False  # the cold path will warn and take the legacy engine
         new_positions = plan.new_positions
@@ -624,148 +592,148 @@ class FaultDictionary:
         table = self._table
         universe = self.universe
         reused = 0
-        sub: BatchEvaluator | None = None
         try:
-            if not new_positions:
-                # Pure cardinality promotion: every ancestor row carries
-                # over verbatim — zero enumeration, zero simulation for
-                # the reused region.  Entries still re-sort into *our*
-                # suite order, which may permute the ancestor's.
-                finals = [
-                    tuple(e for _, e in sorted(entries)) for entries in carried
-                ]
-                get = universe.__getitem__
-                for idx, sid in dicts.iter_rows(anc.digest):
-                    syndrome = finals[sid]
-                    table[syndrome].append(tuple(map(get, idx)))
-                    writer.add(idx, syndrome)
-                    reused += 1
-            else:
-                # New columns: every set of the ancestor's tiers must be
-                # re-judged (an undetected set may become detectable), but
-                # only against the new vectors.  The walk pairs stored
-                # rows with the canonical enumeration via a successor
-                # function — gaps only, no re-enumeration — so the common
-                # near-complete ancestor costs one tuple comparison per
-                # stored row; absent sets surface as ``sid == -1`` items.
-                sub = BatchEvaluator(
-                    kernel, [self.vectors[i] for i in new_positions]
-                )
-                sub_slot = sub.slot
-                sub_masks = sub.commanded_masks
-                sub_names = sub.vector_names
-                quads = _simple_fault_bits(kernel, universe)
-                quads_ix = [quads[f] for f in universe]
-                fires_cache: dict = {}
-                # Distinct new-vector slot rows are few; memoize their
-                # contribution once per row.  ``finals`` caches the
-                # re-sorted carried syndrome for rows the new vectors
-                # leave untouched (the common case on an append).
-                new_cache: dict = {}
-                finals: list[Syndrome | None] = [None] * len(carried)
-                sub_passed = sub.passed
-                sub_observed = sub.observed_items
-                single = sub_masks[0] if len(sub_masks) == 1 else None
-                items = _walk_items(
-                    dicts.iter_rows(anc.digest),
-                    len(universe),
-                    anc.cardinality,
-                    universe,
-                    dicts.path_for(anc.digest),
-                )
-                for chunk in _iter_chunks(items, self.chunk_size):
-                    slots: list = []
-                    put = slots.append
-                    for idx, _sid in chunk:
-                        sa0 = sa1 = closed = debris = 0
-                        simple = True
-                        for i in idx:
-                            quad = quads_ix[i]
-                            if quad is None:
-                                simple = False
-                                break
-                            sa0 |= quad[0]
-                            sa1 |= quad[1]
-                            closed |= quad[2]
-                            debris |= quad[3]
-                        if simple:
-                            if single is not None:
-                                put(sub_slot(
-                                    ((single | sa1) & ~sa0) & ~closed,
-                                    debris,
-                                ))
-                            else:
-                                put(tuple(
-                                    sub_slot(
-                                        ((m | sa1) & ~sa0) & ~closed, debris
-                                    )
-                                    for m in sub_masks
-                                ))
-                        else:
-                            compiled = CompiledFaultSet(
-                                kernel,
-                                tuple(universe[i] for i in idx),
-                                fires_cache,
-                            )
-                            row = sub.slot_row(compiled)
-                            put(row[0] if single is not None else row)
-                    sub.flush()
-                    get = universe.__getitem__
-                    cache_get = new_cache.get
-                    writer_add = writer.add
-                    for (idx, sid), row in zip(chunk, slots):
-                        cached = cache_get(row)
-                        if cached is None:
-                            if single is not None:
-                                new_entries = (
-                                    []
-                                    if sub_passed(0, row)
-                                    else [(
-                                        new_positions[0],
-                                        (sub_names[0], sub_observed(row)),
-                                    )]
-                                )
-                            else:
-                                # ``new_positions`` ascends with ``k``,
-                                # so this is already entry-sorted.
-                                new_entries = [
-                                    (
-                                        new_positions[k],
-                                        (
-                                            sub_names[k],
-                                            sub_observed(slot_id),
-                                        ),
-                                    )
-                                    for k, slot_id in enumerate(row)
-                                    if not sub_passed(k, slot_id)
-                                ]
-                            cached = (
-                                new_entries,
-                                tuple(e for _, e in new_entries),
-                            )
-                            new_cache[row] = cached
-                        if sid < 0:
-                            syndrome = cached[1]
-                            if not syndrome:
-                                continue  # still undetected: no row
-                        else:
-                            reused += 1
-                            if cached[0]:
-                                entries = carried[sid] + cached[0]
-                                entries.sort()
-                                syndrome = tuple(e for _, e in entries)
-                            else:
-                                syndrome = finals[sid]
-                                if syndrome is None:
-                                    syndrome = tuple(
-                                        e for _, e in sorted(carried[sid])
-                                    )
-                                    finals[sid] = syndrome
-                        table[syndrome].append(tuple(map(get, idx)))
-                        writer_add(idx, syndrome)
-            return self._finish_delta(
-                anc, lineage, writer, evaluator, sub, new_positions, reused
+            # New columns: every set of the ancestor's tiers must be
+            # re-judged (an undetected set may become detectable), but
+            # only against the new vectors.  The walk pairs stored
+            # rows with the canonical enumeration via a successor
+            # function — gaps only, no re-enumeration — so the common
+            # near-complete ancestor costs one tuple comparison per
+            # stored row; absent sets surface as ``sid == -1`` items.
+            sub = BatchEvaluator(
+                kernel, [self.vectors[i] for i in new_positions]
             )
+            sub_slot = sub.slot
+            sub_masks = sub.commanded_masks
+            sub_names = sub.vector_names
+            quads = _simple_fault_bits(kernel, universe)
+            quads_ix = [quads[f] for f in universe]
+            fires_cache: dict = {}
+            # Distinct new-vector slot rows are few; memoize their
+            # contribution once per row.  ``finals`` caches the
+            # re-sorted carried syndrome for rows the new vectors
+            # leave untouched (the common case on an append).
+            new_cache: dict = {}
+            finals: list[Syndrome | None] = [None] * len(carried)
+            sub_passed = sub.passed
+            sub_observed = sub.observed_items
+            single = sub_masks[0] if len(sub_masks) == 1 else None
+            items = _walk_items(
+                dicts.iter_rows(anc.digest),
+                len(universe),
+                anc.cardinality,
+                universe,
+                dicts.path_for(anc.digest),
+            )
+            for chunk in _iter_chunks(items, self.chunk_size):
+                slots: list = []
+                put = slots.append
+                for idx, _sid in chunk:
+                    sa0 = sa1 = closed = debris = 0
+                    simple = True
+                    for i in idx:
+                        quad = quads_ix[i]
+                        if quad is None:
+                            simple = False
+                            break
+                        sa0 |= quad[0]
+                        sa1 |= quad[1]
+                        closed |= quad[2]
+                        debris |= quad[3]
+                    if simple:
+                        if single is not None:
+                            put(sub_slot(
+                                ((single | sa1) & ~sa0) & ~closed,
+                                debris,
+                            ))
+                        else:
+                            put(tuple(
+                                sub_slot(
+                                    ((m | sa1) & ~sa0) & ~closed, debris
+                                )
+                                for m in sub_masks
+                            ))
+                    else:
+                        compiled = CompiledFaultSet(
+                            kernel,
+                            tuple(universe[i] for i in idx),
+                            fires_cache,
+                        )
+                        row = sub.slot_row(compiled)
+                        put(row[0] if single is not None else row)
+                sub.flush()
+                get = universe.__getitem__
+                cache_get = new_cache.get
+                writer_add = writer.add
+                for (idx, sid), row in zip(chunk, slots):
+                    cached = cache_get(row)
+                    if cached is None:
+                        if single is not None:
+                            new_entries = (
+                                []
+                                if sub_passed(0, row)
+                                else [(
+                                    new_positions[0],
+                                    (sub_names[0], sub_observed(row)),
+                                )]
+                            )
+                        else:
+                            # ``new_positions`` ascends with ``k``,
+                            # so this is already entry-sorted.
+                            new_entries = [
+                                (
+                                    new_positions[k],
+                                    (
+                                        sub_names[k],
+                                        sub_observed(slot_id),
+                                    ),
+                                )
+                                for k, slot_id in enumerate(row)
+                                if not sub_passed(k, slot_id)
+                            ]
+                        cached = (
+                            new_entries,
+                            tuple(e for _, e in new_entries),
+                        )
+                        new_cache[row] = cached
+                    if sid < 0:
+                        syndrome = cached[1]
+                        if not syndrome:
+                            continue  # still undetected: no row
+                    else:
+                        reused += 1
+                        if cached[0]:
+                            entries = carried[sid] + cached[0]
+                            entries.sort()
+                            syndrome = tuple(e for _, e in entries)
+                        else:
+                            syndrome = finals[sid]
+                            if syndrome is None:
+                                syndrome = tuple(
+                                    e for _, e in sorted(carried[sid])
+                                )
+                                finals[sid] = syndrome
+                    table[syndrome].append(tuple(map(get, idx)))
+                    writer_add(idx, syndrome)
+            writer.annotate(
+                lineage={
+                    **lineage,
+                    "parent": anc.digest,
+                    "delta": {
+                        "new_vectors": len(new_positions),
+                        "reused_sets": reused,
+                    },
+                }
+            )
+            writer.commit()
+            self.build_stats = {
+                "mode": "delta",
+                "parent": anc.digest,
+                "new_vectors": len(new_positions),
+                "reused_sets": reused,
+                "simulated_scenarios": sub.distinct_scenarios,
+            }
+            return True
         except ArtifactCorruptionError as error:
             # Mid-walk corruption: drop everything assembled so far and
             # let the cold build (over a healed store) start clean.
@@ -774,51 +742,6 @@ class FaultDictionary:
             return False
         finally:
             writer.abort()
-
-    def _finish_delta(
-        self,
-        anc,
-        lineage: dict,
-        writer,
-        evaluator: BatchEvaluator,
-        sub: BatchEvaluator | None,
-        new_positions: Sequence[int],
-        reused: int,
-    ) -> bool:
-        """Promote the missing tiers, publish, and record the stats."""
-        promoted_from = self.total_fault_sets
-        scenarios = 0
-        if anc.cardinality < self.max_cardinality:
-            scenarios = self._build_batched(
-                iter_fault_sets(
-                    self.universe, self.max_cardinality, anc.cardinality + 1
-                ),
-                writer,
-                evaluator,
-            ) or 0
-        writer.annotate(
-            lineage={
-                **lineage,
-                "parent": anc.digest,
-                "delta": {
-                    "new_vectors": len(new_positions),
-                    "from_cardinality": anc.cardinality,
-                    "reused_sets": reused,
-                },
-            }
-        )
-        writer.commit()
-        self.build_stats = {
-            "mode": "delta",
-            "parent": anc.digest,
-            "parent_cardinality": anc.cardinality,
-            "new_vectors": len(new_positions),
-            "reused_sets": reused,
-            "promoted_sets": self.total_fault_sets - promoted_from,
-            "simulated_scenarios": scenarios
-            + (sub.distinct_scenarios if sub is not None else 0),
-        }
-        return True
 
     def _require_kernel(self) -> ReachabilityKernel:
         """The compiled kernel, built (or warm-loaded) on first need."""

@@ -8,10 +8,9 @@ can ship a *path* to worker processes instead of a pickled kernel per
 shard payload.
 
 Artifacts are **backend-agnostic**: only the arc table is persisted,
-never a propagation backend or its compiled schedule, so one stored
-kernel loads into any :mod:`repro.sim.backends` tier (word, tile, jit,
-gpu) and replays bit-identical readings — sessions attach their tier
-after load.
+never a propagation backend or its compiled schedule, so a loaded kernel
+attaches its :mod:`repro.sim.backends` object on first use and replays
+bit-identical readings.
 
 Writes are atomic (temp file + ``os.replace``) and durable (payloads and
 the directory entry are fsynced before the rename), so neither a crash

@@ -8,29 +8,33 @@ Every dictionary artifact published since this module exists records a
         "universe": "<digest of the ordered fault universe>",
         "suite":    ["<per-vector content digest>", ...],   # suite order
         "parent":   null | "<digest of the ancestor artifact>",
-        "delta":    null | {"new_vectors": [...], "from_cardinality": N}
+        "delta":    null | {"new_vectors": N, "reused_sets": N}
     }
 
 Because syndromes are per-vector readings, the stored table for suite
 ``S`` contains, verbatim, every ``S``-column of any superset suite over
-the same (layout, ordered universe) — and a cardinality-``c`` table is an
-exact prefix of the cardinality-``c+1`` enumeration.  Ancestor resolution
-(:func:`resolve_ancestor`) exploits both: given a target key it scans the
-store's catalog for compatible artifacts (same layout + universe digest,
-vector-digest set ⊆ target's, cardinality ≤ target's) and picks the one
+the same (layout, ordered universe, cardinality).  Ancestor resolution
+(:func:`resolve_ancestor`) exploits that: given a target key it scans
+the store's catalog for compatible artifacts (same layout + universe
+digest + cardinality, vector-digest set ⊂ target's) and picks the one
 that avoids the most work, so
 :class:`~repro.sim.diagnosis.FaultDictionary` can build the new artifact
-from the ancestor's rows plus only the genuinely new columns/fault sets.
+from the ancestor's rows plus only the genuinely new columns.  A
+lower-cardinality artifact is never an ancestor: extending it to the
+next tier simulated as many distinct scenarios as a cold build and was
+no faster in wall time, so such targets cold-build.
 
 Incremental builds publish **complete, self-contained** artifacts under
 the target digest — never load-time delta chains — so warm loads, heal
 paths and bit-identity stay exactly as they were; the parent pointer is
 provenance, not a read dependency.  That is also what gives garbage
 collection its meaning: an artifact that is the recorded parent of
-another stored artifact is strictly superseded (its child carries a
-superset of its information and serves every future delta at least as
-well), so :func:`plan_gc` lists exactly those, keeping every lineage tip
-and anything it cannot reason about (pre-lineage artifacts).
+another stored artifact *of the same cardinality* is strictly superseded
+(its child carries a superset of its columns and serves every future
+delta at least as well), so :func:`plan_gc` lists exactly those, keeping
+every lineage tip, every parent whose only children have another
+cardinality (they cannot serve its lookups), and anything it cannot
+reason about (pre-lineage artifacts).
 """
 
 from __future__ import annotations
@@ -109,14 +113,13 @@ def resolve_ancestor(
 ) -> DeltaPlan | None:
     """The most-reusable stored ancestor for a target dictionary key.
 
-    A candidate must share the layout and the *ordered* universe (rows
-    are universe indices), carry only vectors the target also carries
-    (digest-set inclusion — order free, since an incremental build
-    re-sorts syndrome entries into target suite order), and not exceed
-    the target cardinality (lower cardinalities are exact enumeration
-    prefixes).  Among candidates the highest cardinality wins (promotion
-    work dominates), then the widest suite (fewest new columns), then the
-    largest row count, with the digest as the deterministic tie-break.
+    A candidate must share the layout, the *ordered* universe (rows are
+    universe indices) and the cardinality, and carry a strict subset of
+    the target's vectors (digest-set inclusion — order free, since an
+    incremental build re-sorts syndrome entries into target suite
+    order).  Among candidates the widest suite wins (fewest new
+    columns), then the largest row count, with the digest as the
+    deterministic tie-break.
 
     ``base_digest`` pins resolution to one specific artifact — it is
     still validated against every compatibility rule, and ``None`` comes
@@ -138,18 +141,17 @@ def resolve_ancestor(
             continue
         if info.universe_size != universe_size:
             continue
-        if info.cardinality > cardinality:
+        if info.cardinality != cardinality:
             continue
         candidate_set = set(info.suite)
         if len(candidate_set) != len(info.suite):
             continue
-        if not candidate_set <= target_set:
+        # A strict subset: the full set is the target itself (possible
+        # when the caller raced a concurrent publisher, or a permuted
+        # suite) — a warm load or a cold build serves it, not a delta.
+        if not candidate_set < target_set:
             continue
-        if candidate_set == target_set and info.cardinality == cardinality:
-            # The target artifact itself (possible when the caller raced a
-            # concurrent publisher) — a warm load serves it, not a delta.
-            continue
-        rank = (info.cardinality, len(info.suite), info.fault_sets, info.digest)
+        rank = (len(info.suite), info.fault_sets, info.digest)
         if best is None or rank > best[0]:
             best = (rank, info)
     if best is None:
@@ -166,11 +168,13 @@ def resolve_ancestor(
 class GcPlan:
     """What :meth:`DictionaryStore.gc` would (or did) act on."""
 
-    #: Artifacts that are the recorded parent of another stored artifact.
+    #: Artifacts that are the recorded parent of another stored artifact
+    #: of the same cardinality.
     superseded: tuple[DictionaryInfo, ...]
-    #: Lineage tips and roots nothing descends from — always kept.
+    #: Everything else — lineage tips, roots nothing descends from, and
+    #: parents whose children all have another cardinality.
     kept: tuple[DictionaryInfo, ...]
-    #: ``parent digest -> digests of its stored children``.
+    #: ``parent digest -> digests of its superseding stored children``.
     children: Mapping[str, tuple[str, ...]]
 
     @property
@@ -182,15 +186,21 @@ def plan_gc(store: "DictionaryStore") -> GcPlan:
     """Partition the store's cataloged dictionaries into superseded/kept.
 
     Direct-parent marking is transitively sufficient: every artifact in a
-    chain except the tip is *somebody's* parent, so whole chains collapse
-    to their tips without walking them.  Artifacts without lineage
-    metadata never appear in the catalog and are therefore never touched.
+    same-cardinality chain except the tip is *somebody's* parent, so
+    whole chains collapse to their tips without walking them.  A child
+    of another cardinality (written by cardinality promotion, which
+    earlier releases performed) supersedes nothing: neither a warm load
+    nor :func:`resolve_ancestor` can serve the parent's cardinality from
+    it.  Artifacts without lineage metadata never appear in the catalog
+    and are therefore never touched.
     """
     infos = store.catalog()
+    cardinality = {info.digest: info.cardinality for info in infos}
     children: dict[str, list[str]] = {}
     for info in infos:
-        if info.parent is not None:
-            children.setdefault(info.parent, []).append(info.digest)
+        parent = info.parent
+        if parent is not None and cardinality.get(parent) == info.cardinality:
+            children.setdefault(parent, []).append(info.digest)
     superseded = tuple(i for i in infos if i.digest in children)
     kept = tuple(i for i in infos if i.digest not in children)
     return GcPlan(

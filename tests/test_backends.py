@@ -1,20 +1,13 @@
-"""The backend-registry spine: every tier pinned to the object reference.
+"""Kernel propagation backends, each pinned to the object reference.
 
-The PR-6 acceptance contract lives here:
-
-* each registered backend (word / tile / jit / gpu) produces **bit
-  identical** readings to the ``engine="object"`` reference — absent
-  optional dependencies *skip* with the probe's reason, never fail;
-* a :class:`~repro.store.KernelStore`-persisted kernel warm-loads into
-  any backend tier and replays identical readings (artifacts are
+* both backends (:class:`WordBackend`, :class:`TileBackend`) produce
+  **bit identical** readings to the ``engine="object"`` reference;
+* a :class:`~repro.store.KernelStore`-persisted kernel warm-loads and
+  replays identical readings under either backend (artifacts are
   backend-agnostic);
-* selection flows through one spelling: ``kernel_backend=`` on the
-  session, ``REPRO_KERNEL_BACKEND`` in the environment, and the CLI
-  ``--kernel-backend`` flag;
-* unavailable tiers fall back to the default with a warning when asked
-  to, and the deprecated ``backend="kernel"``/``kernel=`` spellings
-  route into the registry through the single deprecation path,
-  bit-identically.
+* a kernel attaches :class:`TileBackend` on first use, and
+  :meth:`~repro.sim.kernel.ReachabilityKernel.set_backend` swaps in
+  another backend built for the same kernel.
 """
 
 from __future__ import annotations
@@ -30,29 +23,21 @@ from hypothesis import strategies as st
 
 from repro.context import ExecutionContext
 from repro.core import generate_suite
-from repro.engine import get_scenario
 from repro.fpva import full_layout, table1_layout
 from repro.sim import ChipUnderTest, FaultDictionary, PressureSimulator
 from repro.sim.backends import (
-    DEFAULT_BACKEND,
-    BackendUnavailable,
     KernelBackend,
-    availability,
-    backend_names,
-    canonical_name,
-    create,
-    default_backend,
+    TileBackend,
+    WordBackend,
     pick_tile_words,
-    resolve_legacy_engine,
 )
 from repro.sim.campaign import run_campaign
-from repro.sim.kernel import ReachabilityKernel
+from repro.sim.kernel import ReachabilityKernel, _pack_words, _unpack_words
 
 
-def _require(name: str):
-    reason = availability()[name]
-    if reason is not None:
-        pytest.skip(f"backend {name!r} unavailable: {reason}")
+def _kernel(fpva, backend_cls):
+    kernel = ReachabilityKernel(fpva)
+    return kernel.set_backend(backend_cls(kernel))
 
 
 def _random_scenarios(kernel, rng, count):
@@ -99,40 +84,54 @@ def reference(fpva):
     return scenarios, np.array(rows, dtype=bool)
 
 
-@pytest.mark.parametrize("name", backend_names())
+@pytest.mark.parametrize(
+    "backend_cls", [WordBackend, TileBackend], ids=["word", "tile"]
+)
 class TestBackendEquivalence:
-    """Tentpole spine: every tier bit-identical to the object engine."""
+    """Both backends bit-identical to the object engine."""
 
-    def test_batched_matches_object_reference(self, fpva, reference, name):
-        _require(name)
+    def test_batched_matches_object_reference(self, fpva, reference, backend_cls):
         scenarios, expected = reference
-        kernel = ReachabilityKernel(fpva).set_backend(name)
+        kernel = _kernel(fpva, backend_cls)
         got = kernel.batch_readings(scenarios)
         assert got.dtype == bool and got.shape == expected.shape
         assert np.array_equal(got, expected)
 
-    def test_scalar_matches_object_reference(self, fpva, reference, name):
-        _require(name)
+    def test_scalar_matches_object_reference(self, fpva, reference, backend_cls):
         scenarios, expected = reference
-        kernel = ReachabilityKernel(fpva).set_backend(name)
+        kernel = _kernel(fpva, backend_cls)
         for (open_mask, blocked_mask), row in zip(scenarios[:40], expected):
             readings = kernel.readings(open_mask, blocked_mask)
             assert [readings[s] for s in kernel.sink_names] == list(row)
 
-    def test_reach_matches_scalar_reference(self, fpva, name):
-        _require(name)
-        kernel = ReachabilityKernel(fpva).set_backend(name)
-        rng = random.Random(11)
-        for open_mask, blocked_mask in _random_scenarios(kernel, rng, 20):
+    def test_reach_matches_scalar_reference(self, fpva, backend_cls):
+        """All-node batched reach equals the scalar BFS, node for node."""
+        kernel = _kernel(fpva, backend_cls)
+        scenarios = _random_scenarios(kernel, random.Random(11), 20)
+
+        def bits(mask, width):
+            return [(mask >> i) & 1 for i in range(width)]
+
+        open_bool = np.array(
+            [bits(o, kernel.n_valves) for o, _ in scenarios], dtype=bool
+        )
+        blocked_bool = np.array(
+            [bits(b, kernel.n_edges) for _, b in scenarios], dtype=bool
+        )
+        reach = kernel.backend.reach_words(
+            _pack_words(open_bool), _pack_words(blocked_bool),
+            (len(scenarios) + 63) // 64,
+        )
+        got = _unpack_words(reach, len(scenarios))
+        for (open_mask, blocked_mask), row in zip(scenarios, got):
             assert bytes(kernel.reach(open_mask, blocked_mask)) == bytes(
-                kernel._scalar_reach(open_mask, blocked_mask)
+                row.astype(np.uint8)
             )
 
-    def test_odd_batch_widths(self, fpva, name):
+    def test_odd_batch_widths(self, fpva, backend_cls):
         """Non-multiple-of-64 batches exercise the padded tail word."""
-        _require(name)
-        kernel = ReachabilityKernel(fpva).set_backend(name)
-        ref_kernel = ReachabilityKernel(fpva).set_backend("word")
+        kernel = _kernel(fpva, backend_cls)
+        ref_kernel = _kernel(fpva, WordBackend)
         rng = random.Random(3)
         for size in (1, 63, 64, 65, 130):
             scenarios = _random_scenarios(kernel, rng, size)[:size]
@@ -141,89 +140,36 @@ class TestBackendEquivalence:
                 ref_kernel.batch_readings(scenarios),
             )
 
-    def test_warm_start_roundtrip(self, fpva, reference, name, tmp_path):
-        """Acceptance: a persisted kernel loads into any tier identically."""
-        _require(name)
+    def test_warm_start_roundtrip(self, fpva, reference, backend_cls, tmp_path):
+        """A persisted kernel loads into either backend identically."""
         scenarios, expected = reference
         seed_ctx = ExecutionContext(fpva, cache_dir=tmp_path)
         seed_ctx.kernel  # cold compile persists the artifact
         assert seed_ctx.kernel_compiles == 1
-        ctx = ExecutionContext(fpva, cache_dir=tmp_path, kernel_backend=name)
+        ctx = ExecutionContext(fpva, cache_dir=tmp_path)
         kernel = ctx.kernel
         assert ctx.kernel_loads == 1 and ctx.kernel_compiles == 0
-        assert kernel.backend.name == name
+        kernel.set_backend(backend_cls(kernel))
         assert np.array_equal(kernel.batch_readings(scenarios), expected)
 
-    def test_pickle_roundtrip(self, fpva, name):
+    def test_pickle_roundtrip(self, fpva, backend_cls):
         """Shard payloads carry the backend; readings survive the trip."""
-        _require(name)
-        kernel = ReachabilityKernel(fpva).set_backend(name)
+        kernel = _kernel(fpva, backend_cls)
         scenarios = _random_scenarios(kernel, random.Random(5), 40)
         expected = kernel.batch_readings(scenarios)
         clone = pickle.loads(pickle.dumps(kernel))
-        assert clone.backend.name == name
+        assert type(clone.backend) is backend_cls
         assert np.array_equal(clone.batch_readings(scenarios), expected)
 
 
 class TestRegistry:
-    def test_registry_names_and_alias(self):
-        assert backend_names() == ("word", "tile", "jit", "gpu")
-        assert canonical_name("kernel") == "tile"
-        assert canonical_name("word") == "word"
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            canonical_name("warp")
-
-    def test_always_available_tiers(self):
-        status = availability()
-        assert status["word"] is None and status["tile"] is None
-
-    def test_env_var_selects_backend(self, fpva, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "word")
-        assert default_backend() == "word"
-        ctx = ExecutionContext(fpva)
-        assert ctx.kernel_backend == "word"
-        assert ctx.kernel.backend.name == "word"
-
-    def test_env_var_typo_fails_at_construction(self, fpva, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "warp")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            ExecutionContext(fpva)
-
-    def test_explicit_knob_beats_env(self, fpva, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "tile")
-        ctx = ExecutionContext(fpva, kernel_backend="word")
-        assert ctx.kernel.backend.name == "word"
-
-    def test_unavailable_tier_raises_without_fallback(self, fpva):
-        missing = [n for n, why in availability().items() if why is not None]
-        if not missing:
-            pytest.skip("every optional backend is installed here")
-        kernel = ReachabilityKernel(fpva)
-        with pytest.raises(BackendUnavailable, match=missing[0]):
-            create(missing[0], kernel)
-
-    def test_unavailable_tier_falls_back_with_warning(self, fpva):
-        missing = [n for n, why in availability().items() if why is not None]
-        if not missing:
-            pytest.skip("every optional backend is installed here")
-        ctx = ExecutionContext(fpva, kernel_backend=missing[0])
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            kernel = ctx.kernel
-        assert kernel.backend.name == DEFAULT_BACKEND
-
-    def test_set_backend_same_name_is_noop(self, fpva):
-        kernel = ReachabilityKernel(fpva).set_backend("tile")
-        attached = kernel.backend
-        assert kernel.set_backend("tile").backend is attached
-        assert kernel.set_backend("kernel").backend is attached  # alias
-
     def test_set_backend_rejects_foreign_instances(self, fpva):
         kernel = ReachabilityKernel(fpva)
         other = ReachabilityKernel(full_layout(3, 3))
         with pytest.raises(ValueError, match="different kernel"):
-            kernel.set_backend(create("word", other))
-        with pytest.raises(TypeError, match="registry name"):
-            kernel.set_backend(42)
+            kernel.set_backend(WordBackend(other))
+        with pytest.raises(TypeError, match="KernelBackend"):
+            kernel.set_backend("word")
 
     def test_pick_tile_words(self):
         # Small batches fit one tile exactly; huge batches cap at 32 words.
@@ -238,15 +184,9 @@ class TestRegistry:
 
 
 class TestLegacyShims:
-    """Satellite: deprecated spellings route into the registry, warning once."""
-
-    def test_resolve_legacy_engine(self):
-        with pytest.warns(DeprecationWarning, match="backend='kernel'"):
-            assert resolve_legacy_engine("kernel", "campaign") == ("kernel", "tile")
-        with pytest.warns(DeprecationWarning, match="backend='legacy'"):
-            assert resolve_legacy_engine("legacy", "campaign") == ("object", None)
-        with pytest.raises(ValueError, match="unknown campaign backend"):
-            resolve_legacy_engine("warp", "campaign")
+    """The engine routing that replaced the pre-session ``backend=``
+    spellings: an ``engine="object"`` session takes the legacy
+    (object-engine) paths, bit-identically, and nothing warns."""
 
     def test_default_spellings_do_not_warn(self, fpva):
         vectors = generate_suite(fpva).all_vectors()[:4]
@@ -255,23 +195,12 @@ class TestLegacyShims:
             run_campaign(fpva, vectors, num_faults=1, trials=3, seed=1)
             FaultDictionary(fpva, vectors, universe=[])
 
-    def test_dictionary_shim_warns_and_matches(self, fpva):
-        vectors = generate_suite(fpva).all_vectors()
-        universe = get_scenario("stuck-at").universe(fpva)[:12]
-        with pytest.warns(DeprecationWarning, match="backend='kernel'"):
-            shimmed = FaultDictionary(
-                fpva, vectors, universe=universe, backend="kernel"
-            )
-        modern = FaultDictionary(
-            fpva, vectors, universe=universe, context=ExecutionContext(fpva)
-        )
-        assert shimmed.backend == "kernel"
-        assert list(shimmed._table.items()) == list(modern._table.items())
-
     def test_dictionary_legacy_spelling_routes_to_object(self, fpva):
         vectors = generate_suite(fpva).all_vectors()
-        with pytest.warns(DeprecationWarning, match="backend='legacy'"):
-            ref = FaultDictionary(fpva, vectors, universe=[], backend="legacy")
+        ref = FaultDictionary(
+            fpva, vectors, universe=[],
+            context=ExecutionContext(fpva, engine="object"),
+        )
         assert ref.backend == "legacy"
 
     @settings(
@@ -281,26 +210,28 @@ class TestLegacyShims:
     )
     @given(st.integers(0, 2**16))
     def test_campaign_shim_bit_identical(self, seed):
-        """Property: backend="kernel" == context spelling, trial for trial."""
+        """Property: the kernel and object engines agree trial for trial."""
         fpva = full_layout(3, 3)
         vectors = generate_suite(fpva).all_vectors()
         kwargs = dict(num_faults=2, trials=10, seed=seed)
-        with pytest.warns(DeprecationWarning):
-            shimmed = run_campaign(fpva, vectors, backend="kernel", **kwargs)
-        modern = run_campaign(
+        reference = run_campaign(
+            fpva, vectors, context=ExecutionContext(fpva, engine="object"),
+            **kwargs,
+        )
+        batched = run_campaign(
             fpva, vectors, context=ExecutionContext(fpva), **kwargs
         )
-        assert (shimmed.trials, shimmed.detected) == (
-            modern.trials,
-            modern.detected,
+        assert (reference.trials, reference.detected) == (
+            batched.trials,
+            batched.detected,
         )
-        assert shimmed.undetected_examples == modern.undetected_examples
+        assert reference.undetected_examples == batched.undetected_examples
 
 
 class TestBackendObjects:
     def test_describe_and_repr(self, fpva):
         kernel = ReachabilityKernel(fpva)
-        backend = create("tile", kernel)
+        backend = TileBackend(kernel)
         assert "tile" in backend.describe()
         assert fpva.name in repr(backend)
         assert isinstance(backend, KernelBackend)
@@ -313,8 +244,9 @@ class TestBackendObjects:
             )
 
     def test_tile_plan_compiles_once(self, fpva):
-        kernel = ReachabilityKernel(fpva).set_backend("tile")
+        kernel = ReachabilityKernel(fpva)
         kernel.batch_readings([(0, 0), (1, 0)])
+        assert isinstance(kernel.backend, TileBackend)  # attached on first use
         plan = kernel.backend.plan
         kernel.batch_readings([(3, 0)] * 70, tile_words=1)
         assert kernel.backend.plan is plan

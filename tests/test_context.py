@@ -4,14 +4,14 @@ Covers the PR-5 tentpole and satellites:
 
 * exactly **one** kernel compile per context across generation, coverage,
   hardening, campaigns and dictionary diagnosis;
-* the unified observability signatures (canonical order, both historical
-  orders via the keyword-compatible shim, deprecation warning);
+* the unified observability signature
+  ``(context_or_simulator, vector, fpva=None)``;
 * batched-vs-reference equivalence properties: kernel-session coverage
   observability sets and hardening output are identical to the
   ``engine="object"`` object-BFS reference across random layouts,
   vectors and seeds;
 * context plumbing (store warm starts, evaluator memoization, seed
-  streams, legacy-keyword conflict detection).
+  streams, context/array mismatch detection).
 """
 
 from __future__ import annotations
@@ -233,25 +233,17 @@ class TestUnifiedObservabilitySignatures:
         assert canonical  # a flow-path vector observes its own valves
         assert sa0_observable_valves(ctx.simulator, vector) == canonical
         assert sa0_observable_valves(ctx.simulator, vector, fpva) == canonical
-        assert (
-            sa0_observable_valves(
-                simulator=ctx.simulator, vector=vector, fpva=fpva
-            )
-            == canonical
-        )
+        reference = ExecutionContext(fpva, engine="object")
+        assert sa0_observable_valves(reference, vector) == canonical
 
     def test_sa1_canonical_matches_legacy_order(self, setup):
         fpva, ctx, vector = setup
         canonical = sa1_observable_valves(ctx, vector)
-        with pytest.warns(DeprecationWarning, match="argument order"):
-            legacy = sa1_observable_valves(fpva, ctx.simulator, vector)
-        assert legacy == canonical
-        assert (
-            sa1_observable_valves(
-                fpva=fpva, simulator=ctx.simulator, vector=vector
-            )
-            == canonical
-        )
+        assert sa1_observable_valves(ctx.simulator, vector, fpva) == canonical
+        reference = ExecutionContext(fpva, engine="object")
+        assert sa1_observable_valves(reference, vector) == canonical
+        with pytest.raises(TypeError, match="ExecutionContext or PressureSimulator"):
+            sa1_observable_valves(fpva, ctx.simulator, vector)
 
     def test_both_signatures_are_identical(self, setup):
         fpva, ctx, vector = setup
@@ -261,13 +253,13 @@ class TestUnifiedObservabilitySignatures:
 
     def test_missing_vector_rejected(self, setup):
         _, ctx, _ = setup
-        with pytest.raises(TypeError, match="TestVector"):
+        with pytest.raises(TypeError, match="vector"):
             sa0_observable_valves(ctx)
 
     def test_missing_simulator_rejected(self, setup):
         fpva, _, vector = setup
         with pytest.raises(TypeError, match="ExecutionContext or PressureSimulator"):
-            sa0_observable_valves(vector=vector)
+            sa0_observable_valves(None, vector)
 
 
 def _layouts():
@@ -380,35 +372,36 @@ class TestBatchedEquivalenceProperties:
 
 
 class TestLegacyKeywordShims:
+    """What replaced the pre-session ``backend=``/``kernel=``/``cache_dir=``
+    keywords: a session passed as ``context=``, checked against the
+    array, with ``engine="object"`` as the legacy reference."""
+
     def test_campaign_context_conflicts_rejected(self, small):
-        ctx = ExecutionContext(small)
+        other = ExecutionContext(full_layout(3, 3, name="ctx-other"))
         vectors = _random_vectors(small, seed=9, count=3)
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(ValueError, match="created for array"):
             run_campaign(
-                small, vectors, num_faults=1, trials=2,
-                context=ctx, backend="legacy",
+                small, vectors, num_faults=1, trials=2, context=other,
             )
-        with pytest.raises(ValueError, match="not both"):
-            FaultDictionary(
-                small, vectors, context=ctx, kernel=ReachabilityKernel(small)
-            )
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(ValueError, match="created for array"):
+            FaultDictionary(small, vectors, context=other)
+        with pytest.raises(ValueError, match="created for array"):
             run_campaign_sharded(
-                small, vectors, num_faults=1, trials=2,
-                context=ctx, cache_dir="/tmp/nope",
+                small, vectors, num_faults=1, trials=2, context=other,
             )
 
     def test_campaign_context_matches_legacy_kwargs(self, small):
         suite = TestGenerator(small, include_leakage=False).generate().testset
         vectors = suite.all_vectors()
-        via_context = run_campaign(
+        via_kernel = run_campaign(
             small, vectors, num_faults=2, trials=40, seed=3,
             context=ExecutionContext(small),
         )
-        via_kwargs = run_campaign(
-            small, vectors, num_faults=2, trials=40, seed=3, backend="legacy"
+        via_object = run_campaign(
+            small, vectors, num_faults=2, trials=40, seed=3,
+            context=ExecutionContext(small, engine="object"),
         )
-        assert via_context == via_kwargs
+        assert via_kernel == via_object
 
     def test_dictionary_context_matches_legacy(self, small, tmp_path):
         suite = TestGenerator(small, include_leakage=False).generate().testset
@@ -417,7 +410,8 @@ class TestLegacyKeywordShims:
             small, suite.all_vectors(), context=ctx
         )
         legacy = FaultDictionary(
-            small, suite.all_vectors(), backend="legacy"
+            small, suite.all_vectors(),
+            context=ExecutionContext(small, engine="object"),
         )
         assert list(with_context._table.items()) == list(legacy._table.items())
         # The context's store addressed the build: a rebuild warm-loads.

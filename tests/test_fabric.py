@@ -1,9 +1,9 @@
-"""Campaign fabric units: descriptors, shard store, leases, schedulers.
+"""Campaign fabric units: descriptors, shard store, leases, scheduling.
 
 The crash-injection and interleaving suites live in
 ``test_fabric_crash.py`` / ``test_fabric_journal.py``; this module pins
 the building blocks — content addressing, atomic publish, the lease
-protocol under a fake clock, scheduler assignments, and the
+protocol under a fake clock, shard assignments, and the
 order-independent merge.
 """
 
@@ -20,15 +20,12 @@ from repro.engine import run_sweep
 from repro.fabric import (
     CampaignJournal,
     CampaignSpec,
-    GreedyScheduler,
-    IlpScheduler,
     JournalMismatch,
     ShardStore,
     WorkerProfile,
-    get_scheduler,
+    assign_shards,
     measure_profiles,
     run_journaled_sweep,
-    scheduler_names,
 )
 from repro.fpva import full_layout
 from repro.sim import CampaignResult, merge_shards
@@ -342,23 +339,9 @@ class TestSchedulers:
         )
         return spec.shards()[:n]
 
-    def test_registry(self):
-        assert scheduler_names() == ["greedy", "ilp"]
-        assert isinstance(get_scheduler("greedy"), GreedyScheduler)
-        assert isinstance(get_scheduler("ilp"), IlpScheduler)
-        with pytest.raises(KeyError, match="unknown scheduler"):
-            get_scheduler("fifo")
-
-    def _makespan(self, queues, speeds):
-        return max(
-            sum(d.cost for d in queue) / speed
-            for queue, speed in zip(queues, speeds)
-        )
-
-    @pytest.mark.parametrize("name", ["greedy", "ilp"])
-    def test_assignment_partitions_work(self, bundle, name):
+    def test_assignment_partitions_work(self, bundle):
         descriptors = self._descriptors(bundle)
-        queues = get_scheduler(name).assign(descriptors, ["w0", "w1", "w2"])
+        queues = assign_shards(descriptors, ["w0", "w1", "w2"])
         seen = [d.digest for queue in queues for d in queue]
         assert sorted(seen) == sorted(d.digest for d in descriptors)
         assert len(seen) == len(set(seen))
@@ -370,23 +353,10 @@ class TestSchedulers:
             "fast": WorkerProfile("fast", trials=300, elapsed=1.0, shards=3),
             "slow": WorkerProfile("slow", trials=100, elapsed=1.0, shards=3),
         }
-        queues = GreedyScheduler().assign(
-            descriptors, ["fast", "slow"], profiles
-        )
+        queues = assign_shards(descriptors, ["fast", "slow"], profiles)
         fast_cost = sum(d.cost for d in queues[0])
         slow_cost = sum(d.cost for d in queues[1])
         assert fast_cost > 2 * slow_cost
-
-    def test_ilp_no_worse_than_greedy(self, bundle):
-        descriptors = self._descriptors(bundle, n=12)
-        profiles = {
-            "w0": WorkerProfile("w0", trials=200, elapsed=1.0, shards=2),
-            "w1": WorkerProfile("w1", trials=100, elapsed=1.0, shards=2),
-        }
-        speeds = (200.0, 100.0)
-        greedy = GreedyScheduler().assign(descriptors, ["w0", "w1"], profiles)
-        ilp = IlpScheduler().assign(descriptors, ["w0", "w1"], profiles)
-        assert self._makespan(ilp, speeds) <= self._makespan(greedy, speeds) + 1e-9
 
     def test_profiles_measured_from_store(self, tmp_path, spec):
         store = ShardStore(tmp_path)
@@ -404,46 +374,6 @@ class TestSchedulers:
 
 
 class TestJournaledRuns:
-    def test_ilp_scheduler_end_to_end(self, tmp_path, bundle, spec):
-        """The ILP assignment drains to the same bit-identical sweep."""
-        fpva, vectors = bundle
-        reference = run_sweep(
-            fpva, vectors, fault_counts=(1, 2), trials=40, seed=7,
-            shard_trials=15, workers=1,
-        )
-        results, stats = run_journaled_sweep(
-            spec, tmp_path / "ilp", workers=2, scheduler="ilp"
-        )
-        assert stats.scheduler == "ilp"
-        for k in reference:
-            assert _result_key(results[k]) == _result_key(reference[k])
-
     def test_resume_requires_existing_journal(self, tmp_path, spec):
         with pytest.raises(FileNotFoundError, match="--resume"):
             run_journaled_sweep(spec, tmp_path / "missing", resume=True)
-
-    def test_heterogeneous_backends_one_journal(self, tmp_path, bundle, spec):
-        """Workers pinned to different kernel tiers drain one journal to
-        the same bit-identical result."""
-        fpva, vectors = bundle
-        reference = run_sweep(
-            fpva, vectors, fault_counts=(1, 2), trials=40, seed=7,
-            shard_trials=15, workers=1,
-        )
-        results, stats = run_journaled_sweep(
-            spec,
-            tmp_path / "hetero",
-            workers=2,
-            worker_backends=("word", "tile"),
-        )
-        assert stats.executed == stats.total
-        for k in reference:
-            assert _result_key(results[k]) == _result_key(reference[k])
-        backends = {
-            meta["backend"]
-            for meta in (
-                CampaignJournal(tmp_path / "hetero").store.meta(d.digest)
-                for d in spec.shards()
-            )
-        }
-        assert backends <= {"word", "tile"} and len(backends) >= 1

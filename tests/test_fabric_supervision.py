@@ -578,7 +578,7 @@ class TestDrainStats:
 
         clean = DrainStats(
             total=6, executed=6, cache_hits=0, reclaimed=0,
-            workers=1, scheduler="greedy",
+            workers=1,
         )
         assert not clean.degraded
         assert clean.report()["degraded"] is False
@@ -586,7 +586,7 @@ class TestDrainStats:
 
         poisoned = DrainStats(
             total=6, executed=5, cache_hits=0, reclaimed=0,
-            workers=1, scheduler="greedy", retried=2, healed=1,
+            workers=1, retried=2, healed=1,
             quarantined=({"digest": "abc", "reason": "poison"},),
         )
         assert poisoned.degraded

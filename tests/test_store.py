@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.context import ExecutionContext
 from repro.core import generate_suite
 from repro.engine import AdaptiveDiagnoser, get_scenario
 from repro.engine.parallel import run_campaign as run_campaign_sharded
@@ -25,6 +26,13 @@ from repro.store import (
     dictionary_digest,
     kernel_digest,
 )
+
+
+def _engine(fpva, engine):
+    """A fresh session on ``engine``: the compiled kernel or the object
+    reference."""
+    return ExecutionContext(fpva, engine=engine)
+
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +193,12 @@ class TestBackendEquivalence:
             universe = fault_universe(fpva)
             sub = rng.sample(universe, min(18, len(universe)))
             kwargs = dict(universe=sub, max_cardinality=2)
-            fast = FaultDictionary(fpva, vectors, backend="kernel", **kwargs)
-            ref = FaultDictionary(fpva, vectors, backend="legacy", **kwargs)
+            fast = FaultDictionary(
+                fpva, vectors, context=_engine(fpva, "kernel"), **kwargs
+            )
+            ref = FaultDictionary(
+                fpva, vectors, context=_engine(fpva, "object"), **kwargs
+            )
             assert _table_key(fast) == _table_key(ref)
 
     def test_legacy_build_round_trips_through_store(self, bundle, tmp_path):
@@ -194,10 +206,12 @@ class TestBackendEquivalence:
         universe = fault_universe(fpva)[:20]
         store = ArtifactStore(tmp_path)
         cold = FaultDictionary(
-            fpva, vectors, universe=universe, backend="legacy", store=store
+            fpva, vectors, universe=universe, context=_engine(fpva, "object"),
+            store=store,
         )
         warm = FaultDictionary(
-            fpva, vectors, universe=universe, backend="legacy", store=store
+            fpva, vectors, universe=universe, context=_engine(fpva, "object"),
+            store=store,
         )
         assert warm.warm_loaded
         assert _table_key(cold) == _table_key(warm)
@@ -222,7 +236,9 @@ class TestNarrowedFallback:
         universe = fault_universe(fpva)[:12]
         with pytest.warns(UserWarning, match="falling\\s+back to the"):
             fast = FaultDictionary(fpva, suite, universe=universe)
-        ref = FaultDictionary(fpva, suite, universe=universe, backend="legacy")
+        ref = FaultDictionary(
+            fpva, suite, universe=universe, context=_engine(fpva, "object")
+        )
         assert _table_key(fast) == _table_key(ref)
 
     def test_full_coverage_build_does_not_warn(self, bundle, recwarn):
@@ -244,7 +260,7 @@ class TestNarrowedFallback:
 
 class TestDeferredKernelCompile:
     def test_legacy_backend_compiles_no_kernel(self, bundle, monkeypatch):
-        """Satellite: backend="legacy" must not pay a kernel compile."""
+        """An engine="object" dictionary never pays a kernel compile."""
         fpva, vectors = bundle
         compiles = []
         original = ReachabilityKernel.__init__
@@ -255,19 +271,21 @@ class TestDeferredKernelCompile:
 
         monkeypatch.setattr(ReachabilityKernel, "__init__", counting)
         dictionary = FaultDictionary(
-            fpva, vectors, universe=fault_universe(fpva)[:8], backend="legacy"
+            fpva, vectors, universe=fault_universe(fpva)[:8],
+            context=_engine(fpva, "object"),
         )
         assert not compiles
-        # The kernel-engine tester still works — built on first use only.
+        # Diagnosis runs on the session's object-engine tester: still none.
         report = dictionary.diagnose_chip(ChipUnderTest(fpva))
         assert report.syndrome == ()
-        assert len(compiles) == 1
+        assert not compiles
 
     def test_prebuilt_kernel_is_reused(self, bundle):
         fpva, vectors = bundle
         kernel = ReachabilityKernel(fpva)
         dictionary = FaultDictionary(
-            fpva, vectors, universe=fault_universe(fpva)[:8], kernel=kernel
+            fpva, vectors, universe=fault_universe(fpva)[:8],
+            context=ExecutionContext(fpva, kernel=kernel),
         )
         assert dictionary.tester.simulator.kernel is kernel
 
@@ -292,10 +310,12 @@ class TestParallelCachePath:
         kwargs = dict(num_faults=2, trials=60, seed=9, shard_trials=15)
         plain = run_campaign_sharded(fpva, vectors, workers=1, **kwargs)
         cached = run_campaign_sharded(
-            fpva, vectors, workers=1, cache_dir=tmp_path, **kwargs
+            fpva, vectors, workers=1,
+            context=ExecutionContext(fpva, cache_dir=tmp_path), **kwargs
         )
         pooled = run_campaign_sharded(
-            fpva, vectors, workers=2, cache_dir=tmp_path, **kwargs
+            fpva, vectors, workers=2,
+            context=ExecutionContext(fpva, cache_dir=tmp_path), **kwargs
         )
         for other in (cached, pooled):
             assert (plain.trials, plain.detected) == (other.trials, other.detected)

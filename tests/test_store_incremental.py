@@ -4,7 +4,7 @@ The contract under test: every incrementally-built dictionary is
 bit-identical — table iteration order, interned ``syndromes.json`` bytes,
 decoded chunk rows, metadata minus the lineage block — to a cold build of
 the same (layout, suite, universe, cardinality) key, while re-simulating
-*only* the new vectors' columns and the promoted cardinality tiers.  The
+*only* the new vectors' columns.  The
 zero-re-simulation half is asserted with a probe over every
 :class:`BatchEvaluator` the build constructs and flushes, not just the
 build's own ``build_stats`` accounting.
@@ -34,6 +34,7 @@ from repro.store import (
     dictionary_digest,
 )
 from repro.store.integrity import _reset_verified_cache
+
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,6 @@ class TestDeltaBitIdentity:
         )
         assert delta.build_stats["mode"] == "delta"
         assert delta.build_stats["new_vectors"] == 1
-        assert delta.build_stats["promoted_sets"] == 0
         # Zero re-simulation of existing columns: every scenario the delta
         # build simulated went through the one-vector sub-evaluator.
         assert eval_probe.scenarios_over_width(2) == 0
@@ -140,40 +140,6 @@ class TestDeltaBitIdentity:
         assert cold.build_stats["mode"] == "cold"
         assert simulated < cold.build_stats["simulated_scenarios"]
         _assert_identical(delta, cold, store, cold_store)
-
-    def test_pure_promotion_simulates_only_new_tier(
-        self, bundle, tmp_path, eval_probe
-    ):
-        fpva, vectors, universe = bundle
-        store = ArtifactStore(tmp_path / "a")
-        anc = FaultDictionary(
-            fpva, vectors, universe=universe, max_cardinality=1, store=store
-        )
-        eval_probe.reset()
-        delta = FaultDictionary(
-            fpva, vectors, universe=universe, max_cardinality=2, store=store
-        )
-        assert delta.build_stats["mode"] == "delta"
-        assert delta.build_stats["new_vectors"] == 0
-        assert delta.build_stats["reused_sets"] == anc.total_fault_sets
-        assert delta.build_stats["promoted_sets"] == (
-            delta.total_fault_sets - anc.total_fault_sets
-        )
-        # No single-column sub-evaluator exists on this path; the only
-        # simulated scenarios belong to the promoted cardinality tier.
-        assert all(w == len(vectors) for w, _ in eval_probe.flushed)
-        cold_store = ArtifactStore(tmp_path / "b")
-        cold = FaultDictionary(
-            fpva, vectors, universe=universe, max_cardinality=2,
-            store=cold_store, incremental=False,
-        )
-        _assert_identical(delta, cold, store, cold_store)
-        # Distinct-scenario counts can tie when every singles-tier scenario
-        # recurs among the pairs, but the delta can never simulate more.
-        assert (
-            delta.build_stats["simulated_scenarios"]
-            <= cold.build_stats["simulated_scenarios"]
-        )
 
     @settings(
         max_examples=10,
@@ -217,41 +183,6 @@ class TestDeltaBitIdentity:
         )
         _assert_identical(delta, cold, store, cold_store)
 
-    @settings(
-        max_examples=6,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        from_cardinality=st.integers(1, 2),
-        also_append=st.booleans(),
-    )
-    def test_cardinality_promotion_to_three(
-        self, bundle, tmp_path_factory, from_cardinality, also_append
-    ):
-        """Promoting 1→3 and 2→3 (optionally with a suite append in the
-        same step) matches the cold cardinality-3 build bit for bit."""
-        fpva, vectors, universe = bundle
-        small = universe[:10]  # C(10,3) keeps the triple tier affordable
-        root = tmp_path_factory.mktemp("promote")
-        store = ArtifactStore(root / "a")
-        base = vectors[:-1] if also_append else list(vectors)
-        FaultDictionary(
-            fpva, base, universe=small, max_cardinality=from_cardinality,
-            store=store,
-        )
-        delta = FaultDictionary(
-            fpva, vectors, universe=small, max_cardinality=3, store=store
-        )
-        assert delta.build_stats["mode"] == "delta"
-        assert delta.build_stats["parent_cardinality"] == from_cardinality
-        cold_store = ArtifactStore(root / "b")
-        cold = FaultDictionary(
-            fpva, vectors, universe=small, max_cardinality=3,
-            store=cold_store, incremental=False,
-        )
-        _assert_identical(delta, cold, store, cold_store)
-
     def test_incomplete_ancestor_merge_walk(self, bundle, tmp_path):
         """A sparse suite leaves fault sets undetected, so the ancestor's
         rows are a strict subsequence of the enumeration and the delta
@@ -285,11 +216,10 @@ class TestDeltaBitIdentity:
         kernel = FaultDictionary(
             fpva, vectors, universe=universe, max_cardinality=3
         )
-        with pytest.deprecated_call():
-            legacy = FaultDictionary(
-                fpva, vectors, universe=universe, max_cardinality=3,
-                backend="legacy",
-            )
+        legacy = FaultDictionary(
+            fpva, vectors, universe=universe, max_cardinality=3,
+            context=ExecutionContext(fpva, engine="object"),
+        )
         assert _table_key(kernel) == _table_key(legacy)
 
     def test_cardinality_validation(self, bundle):
@@ -331,6 +261,30 @@ class TestDeltaFallbacks:
             store=store, base_digest="no-such-digest",
         )
         assert cold.build_stats["mode"] == "cold"
+
+    @pytest.mark.parametrize("also_append", [False, True])
+    def test_lower_cardinality_ancestor_builds_cold(
+        self, bundle, tmp_path, also_append
+    ):
+        """A stored cardinality-1 artifact is no ancestor of a
+        cardinality-2 target: the build is cold, and bit-identical to
+        ``incremental=False``."""
+        fpva, vectors, universe = bundle
+        store = ArtifactStore(tmp_path / "a")
+        base = vectors[:-1] if also_append else list(vectors)
+        FaultDictionary(
+            fpva, base, universe=universe, max_cardinality=1, store=store
+        )
+        built = FaultDictionary(
+            fpva, vectors, universe=universe, max_cardinality=2, store=store
+        )
+        assert built.build_stats["mode"] == "cold"
+        cold_store = ArtifactStore(tmp_path / "b")
+        cold = FaultDictionary(
+            fpva, vectors, universe=universe, max_cardinality=2,
+            store=cold_store, incremental=False,
+        )
+        _assert_identical(built, cold, store, cold_store)
 
     def test_base_digest_requires_store(self, bundle):
         fpva, vectors, _ = bundle
@@ -391,14 +345,15 @@ class TestLineageGc:
         fpva, vectors, universe = bundle
         store = ArtifactStore(root)
         a = FaultDictionary(
-            fpva, vectors[:-1], universe=universe, max_cardinality=1,
+            fpva, vectors[:-2], universe=universe, max_cardinality=1,
             store=store,
         )
         b = FaultDictionary(
-            fpva, vectors, universe=universe, max_cardinality=1, store=store
+            fpva, vectors[:-1], universe=universe, max_cardinality=1,
+            store=store,
         )
         c = FaultDictionary(
-            fpva, vectors, universe=universe, max_cardinality=2, store=store
+            fpva, vectors, universe=universe, max_cardinality=1, store=store
         )
         assert b.build_stats["mode"] == "delta"
         assert c.build_stats["mode"] == "delta"
@@ -429,7 +384,7 @@ class TestLineageGc:
         assert store.dictionaries.has(c.digest)
         # The tip still warm-loads bit-identically after collection.
         warm = FaultDictionary(
-            fpva, vectors, universe=universe, max_cardinality=2, store=store
+            fpva, vectors, universe=universe, max_cardinality=1, store=store
         )
         assert warm.build_stats["mode"] == "warm"
         assert _table_key(warm) == _table_key(c)
@@ -442,6 +397,37 @@ class TestLineageGc:
         pen = Path(store.root) / "dictionaries" / "quarantine"
         assert (pen / a.digest / "meta.json").exists()
         assert (pen / f"{a.digest}.reason.json").exists()
+
+    def test_cross_cardinality_child_does_not_supersede(
+        self, bundle, tmp_path
+    ):
+        """A cardinality-2 child recorded against a cardinality-1 parent
+        (the lineage cardinality promotion used to write) cannot serve the
+        parent's lookups, so gc keeps the parent."""
+        fpva, vectors, universe = bundle
+        store = ArtifactStore(tmp_path)
+        parent = FaultDictionary(
+            fpva, vectors, universe=universe, max_cardinality=1, store=store
+        )
+        meta_path = Path(store.root) / "dictionaries" / parent.digest / "meta.json"
+        lineage = json.loads(meta_path.read_text())["lineage"]
+        child = dictionary_digest(fpva, vectors, universe, 2)
+        writer = store.dictionaries.writer(
+            child, 2,
+            meta={
+                "universe_size": len(universe),
+                "lineage": {**lineage, "parent": parent.digest},
+            },
+        )
+        writer.add([0, 1], (("v", (("sink", True),)),))
+        writer.commit()
+        report = store.dictionaries.gc(apply=True)
+        assert report["superseded"] == []
+        assert sorted(report["kept"]) == sorted((parent.digest, child))
+        warm = FaultDictionary(
+            fpva, vectors, universe=universe, max_cardinality=1, store=store
+        )
+        assert warm.build_stats["mode"] == "warm"
 
     def test_pre_lineage_artifacts_are_never_touched(self, bundle, tmp_path):
         fpva, vectors, universe = bundle
@@ -561,10 +547,10 @@ class TestContextWiring:
 
         fpva, _, _ = bundle
         ctx = ExecutionContext(fpva, cache_dir=tmp_path)
-        mode, kernel, backend = ctx.shipping_spec()
+        mode, kernel = ctx.shipping_spec()
         assert isinstance(kernel, str)
         _CONTEXT_MEMO.clear()
-        first = _shard_context(fpva, mode, kernel, backend)
-        second = _shard_context(fpva, mode, kernel, backend)
+        first = _shard_context(fpva, mode, kernel)
+        second = _shard_context(fpva, mode, kernel)
         assert first is second
         _CONTEXT_MEMO.clear()
