@@ -25,8 +25,9 @@ Usage::
     python scripts/fabric_chaos.py journal --victim $! \\
         --cache-dir .artifact-cache --corruptions 3 --seed 13
 
-Exits 0 when it corrupted at least one artifact, 1 otherwise (nothing
-published in time — the campaign probably failed to start).
+Exits 0 when it corrupted at least one artifact — and, with
+``--cache-dir``, the warm kernel among them — 1 otherwise (nothing
+published in time, or no kernel artifact under ``kernels/*/arcs.npz``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.store.integrity import fsync_dir, fsync_file  # noqa: E402
+from repro.store.integrity import fsync_dir  # noqa: E402
 
 
 def publish_damage(path: Path, payload: bytes) -> None:
@@ -54,8 +55,10 @@ def publish_damage(path: Path, payload: bytes) -> None:
     sees the old bytes or the corrupted bytes, never a mix.
     """
     tmp = path.with_name(path.name + f".chaos-tmp-{os.getpid()}")
-    tmp.write_bytes(payload)
-    fsync_file(tmp)
+    with open(tmp, "wb") as fh:
+        fh.write(payload)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
     fsync_dir(path.parent)
 
@@ -171,15 +174,19 @@ def main(argv=None) -> int:
 
     # Phase 3: corrupt the warm kernel artifact the resume will warm-load
     # by path — its worker must quarantine it and recompile.
+    kernel_hit = False
     if args.cache_dir is not None:
-        kernels = sorted((args.cache_dir / "kernels").glob("*.npz"))
-        if kernels and flip_bits(rng.choice(kernels), rng):
-            corrupted += 1
+        kernels = sorted((args.cache_dir / "kernels").glob("*/arcs.npz"))
+        kernel_hit = bool(kernels) and flip_bits(rng.choice(kernels), rng)
+        corrupted += kernel_hit
+        if not kernel_hit:
+            print(f"chaos: no kernel artifact under {args.cache_dir}/kernels",
+                  flush=True)
 
     print(f"chaos: corrupted {corrupted} artifact(s), "
           f"{len(published_shards(args.journal))} shards published",
           flush=True)
-    return 0 if corrupted else 1
+    return 0 if corrupted and (kernel_hit or args.cache_dir is None) else 1
 
 
 if __name__ == "__main__":

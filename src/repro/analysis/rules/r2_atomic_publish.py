@@ -11,10 +11,10 @@ The rule is deliberately scope-granular rather than statement-granular:
 a write is exempt when its target expression mentions ``tmp`` (staging
 into a temp name *is* the protocol's first half) or when the enclosing
 function/class also performs the ``os.replace``/``os.rename``/``os.link``
-that completes the publish.  That passes the existing two-phase writers
-(``DictionaryWriter`` stages in ``_write_payload`` and renames in
-``commit``) without false positives, while still catching the
-one-liner that writes straight to a final name.
+that completes the publish.  That passes the shared two-phase writer
+(:class:`repro.store.integrity.ArtifactWriter` stages in ``put`` and
+renames in ``commit``) without false positives, while still catching
+the one-liner that writes straight to a final name.
 """
 
 from __future__ import annotations

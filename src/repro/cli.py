@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -530,7 +531,16 @@ def main(argv: list[str] | None = None) -> int:
         # Everything except `lint` keeps strict argparse behaviour.
         parser.parse_args(argv)
     args.rest = rest
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # surface a closed pipe here, not at exit
+    except BrokenPipeError:
+        # The reader went away (`repro ... | head`): exit like a SIGPIPE'd
+        # process, 128 + 13, without a traceback; the devnull stdout
+        # keeps the interpreter's own exit-time flush quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

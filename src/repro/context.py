@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.fpva.array import FPVA
@@ -176,23 +177,15 @@ class ExecutionContext:
         arc tables), and :attr:`kernel_heals` counts the event.
         """
         if self._kernel is None:
-            from repro.store import ArtifactCorruptionError
-
-            loaded = None
-            if self.store is not None:
-                try:
-                    loaded = self.store.kernels.load(self.fpva)
-                except ArtifactCorruptionError as error:
-                    self.store.kernels.heal(self.fpva, error)
-                    self.kernel_heals += 1
-            if loaded is not None:
-                self._kernel = loaded
-                self.kernel_loads += 1
-            else:
+            if self.store is None:
                 self._kernel = ReachabilityKernel(self.fpva)
                 self.kernel_compiles += 1
-                if self.store is not None:
-                    self.store.kernels.save(self._kernel)
+            else:
+                tally: Counter[str] = Counter()
+                self._kernel = self.store.kernels.get_or_compile(self.fpva, tally)
+                self.kernel_loads += tally["load"]
+                self.kernel_compiles += tally["compile"]
+                self.kernel_heals += tally["heal"]
         return self._kernel
 
     # -- shared derived machinery -------------------------------------------

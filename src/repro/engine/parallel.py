@@ -88,18 +88,13 @@ def _resolve_kernel(fpva, kernel):
     if cached is None:
         from pathlib import Path
 
-        from repro.store import ArtifactCorruptionError, KernelStore
+        from repro.store import KernelStore
 
-        try:
-            cached = KernelStore.load_file(fpva, kernel)
-        except ArtifactCorruptionError as error:
-            # A corrupt shipped artifact must not poison every shard this
-            # worker runs: quarantine it and recompile from the array —
-            # get_or_compile republishes, so later workers warm-load the
-            # healed artifact instead of re-paying the compile.
-            store = KernelStore(Path(kernel).parent)
-            store.heal(fpva, error)
-            cached = store.get_or_compile(fpva)
+        # A corrupt shipped artifact must not poison every shard this
+        # worker runs: get_or_compile quarantines it, recompiles from the
+        # array and republishes, so later workers warm-load the healed
+        # artifact instead of re-paying the compile.
+        cached = KernelStore(Path(kernel).parent).get_or_compile(fpva)
         _KERNEL_MEMO[kernel] = cached
     return cached.fpva, cached
 

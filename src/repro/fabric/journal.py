@@ -60,7 +60,11 @@ from typing import Callable, Iterable
 
 from repro.sim.campaign import CampaignResult
 from repro.store.digest import STORE_FORMAT_VERSION
-from repro.store.integrity import ArtifactCorruptionError, quarantine
+from repro.store.integrity import (
+    ArtifactCorruptionError,
+    quarantine,
+    write_json_atomic,
+)
 
 from repro.fabric.descriptors import CampaignSpec, ShardDescriptor
 from repro.fabric.shards import ShardStore
@@ -153,10 +157,7 @@ class CampaignJournal:
         self.root.mkdir(parents=True, exist_ok=True)
         self.leases.mkdir(parents=True, exist_ok=True)
         manifest = {"version": STORE_FORMAT_VERSION, **spec.manifest()}
-        tmp = self.manifest_path.with_name(f".campaign.json.tmp-{os.getpid()}")
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        os.replace(tmp, self.manifest_path)
+        write_json_atomic(self.manifest_path, manifest)
         return manifest
 
     # -- state queries -------------------------------------------------------

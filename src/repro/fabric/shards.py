@@ -1,18 +1,21 @@
 """Atomic, content-addressed persistence for completed shard results.
 
-One directory per shard digest, following the store's proven
-completeness-marker pattern (:mod:`repro.store.dictionaries`)::
+One artifact per shard digest, in the store's shared layout
+(:mod:`repro.store.integrity`)::
 
     <root>/<digest>/
         result.npz   # counts + undetected trial indices + pickled examples
-        meta.json    # provenance (worker, elapsed); written LAST
+        meta.json    # provenance (worker, elapsed) + checksums; written LAST
 
-``meta.json`` is written last inside a temp directory that is atomically
-renamed into place, so a crashed worker never leaves a half-written shard
-addressable, and :meth:`ShardStore.has` doubles as the journal's *done*
-predicate.  Publishing an already-published digest is a no-op that keeps
-the first artifact: content addressing guarantees both are identical, so
-a slow worker racing a reclaimed lease is harmless.
+Publishing goes through :class:`~repro.store.integrity.ArtifactWriter`,
+so a crashed worker never leaves a half-written shard addressable, and
+:meth:`ShardStore.has` doubles as the journal's *done* predicate.
+Publishing an already-published digest is a no-op that keeps the first
+artifact: content addressing guarantees both are identical, so a slow
+worker racing a reclaimed lease is harmless.  A shard that fails
+verification — including one from before the shared layout, whose
+``meta.json`` records no ``checksums`` — is healed by the journal
+(:meth:`~repro.fabric.journal.CampaignJournal.heal_artifact`).
 
 Undetected examples are fault-object tuples from arbitrary (possibly
 user-registered) scenarios, so they ride as a pickle blob inside the
@@ -21,12 +24,7 @@ user-registered) scenarios, so they ride as a pickle blob inside the
 
 from __future__ import annotations
 
-import io
-import json
-import os
 import pickle
-import shutil
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -35,43 +33,19 @@ from repro.sim.campaign import CampaignResult
 from repro.store.digest import STORE_FORMAT_VERSION
 from repro.store.integrity import (
     ArtifactCorruptionError,
-    data_checksum,
-    fsync_dir,
-    load_json,
-    quarantine,
+    ArtifactRoot,
+    ArtifactWriter,
+    npz_arrays,
     verify_file,
 )
 
 from repro.fabric.descriptors import ShardDescriptor
 
+_RESULT = "result.npz"
 
-class ShardStore:
+
+class ShardStore(ArtifactRoot):
     """Content-addressed store of published :class:`CampaignResult` shards."""
-
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
-
-    def path_for(self, digest: str) -> Path:
-        return self.root / digest
-
-    def has(self, digest: str) -> bool:
-        """Only *complete* artifacts count (``meta.json`` is written last)."""
-        return (self.path_for(digest) / "meta.json").exists()
-
-    def meta(self, digest: str) -> dict:
-        """The completeness marker — a torn file types as corruption."""
-        return load_json(self.path_for(digest) / "meta.json")
-
-    def heal(self, digest: str, error: ArtifactCorruptionError) -> Path | None:
-        """Quarantine one corrupt shard artifact directory.
-
-        After the move :meth:`has` is false, so the shard re-enters its
-        journal as *pending* — the drain loop re-simulates and republishes
-        it, which is the entire heal path.  The corrupt evidence (and a
-        ``.reason.json`` diagnostic) stays under ``quarantine/`` for the
-        operator.
-        """
-        return quarantine(self.root, self.path_for(digest), error.reason)
 
     def publish(
         self,
@@ -93,16 +67,10 @@ class ShardStore:
         final = self.path_for(descriptor.digest)
         if self.has(descriptor.digest):
             return final
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = final.with_name(f"{final.name}.tmp-{os.getpid()}")
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.mkdir(parents=True)
-        try:
-            examples = pickle.dumps(list(result.undetected_examples))
-            buffer = io.BytesIO()
-            np.savez(
-                buffer,
+        examples = pickle.dumps(list(result.undetected_examples))
+        with ArtifactWriter(final) as writer:
+            writer.put_npz(
+                _RESULT,
                 counts=np.array(
                     [result.num_faults, result.trials, result.detected],
                     dtype=np.int64,
@@ -112,12 +80,7 @@ class ShardStore:
                 ),
                 examples=np.frombuffer(examples, dtype=np.uint8),
             )
-            payload = buffer.getvalue()
-            with open(tmp / "result.npz", "wb") as fh:
-                fh.write(payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            meta = {
+            return writer.commit({
                 "version": STORE_FORMAT_VERSION,
                 "digest": descriptor.digest,
                 "num_faults": descriptor.num_faults,
@@ -126,29 +89,7 @@ class ShardStore:
                 "detected": result.detected,
                 "worker": worker,
                 "elapsed": float(elapsed),
-                "checksum": data_checksum(payload),
-            }
-            with open(tmp / "meta.json", "w") as fh:
-                json.dump(meta, fh, indent=2, sort_keys=True)
-                fh.flush()
-                os.fsync(fh.fileno())
-            # Payloads and marker are on stable storage before the rename
-            # makes them addressable — a power loss cannot publish an
-            # empty shard behind the completeness marker.
-            fsync_dir(tmp)
-            try:
-                os.replace(tmp, final)
-            except OSError:
-                # A concurrent publish won the rename race; its artifact
-                # is identical by content addressing, so keep it.
-                if not (final / "meta.json").exists():
-                    raise
-                shutil.rmtree(tmp)
-            fsync_dir(self.root)
-        finally:
-            if tmp.exists():  # pragma: no cover - crash-path cleanup
-                shutil.rmtree(tmp)
-        return final
+            })
 
     def load(self, digest: str) -> CampaignResult:
         """Materialize one published shard, bit-identical to the publish.
@@ -161,25 +102,18 @@ class ShardStore:
         """
         directory = self.path_for(digest)
         meta = self.meta(digest)
-        if meta["version"] != STORE_FORMAT_VERSION:
-            raise ValueError(
-                f"shard artifact {directory} has an unsupported format version"
-            )
-        payload = verify_file(directory / "result.npz", meta.get("checksum"))
+        payload = verify_file(directory, meta, _RESULT)
+        data = npz_arrays(
+            payload, directory / _RESULT,
+            ("counts", "undetected_trials", "examples"),
+        )
+        num_faults, trials, detected = (int(v) for v in data["counts"])
+        undetected_trials = [int(t) for t in data["undetected_trials"]]
         try:
-            with np.load(io.BytesIO(payload)) as data:
-                num_faults, trials, detected = (int(v) for v in data["counts"])
-                undetected_trials = [int(t) for t in data["undetected_trials"]]
-                examples = pickle.loads(data["examples"].tobytes())
-        except (
-            zipfile.BadZipFile,
-            KeyError,
-            OSError,
-            pickle.UnpicklingError,
-            EOFError,
-        ) as exc:
+            examples = pickle.loads(data["examples"].tobytes())
+        except (pickle.UnpicklingError, EOFError) as exc:
             raise ArtifactCorruptionError(
-                directory / "result.npz", f"unparseable payload: {exc}"
+                directory / _RESULT, f"unparseable payload: {exc}"
             )
         return CampaignResult(
             num_faults=num_faults,

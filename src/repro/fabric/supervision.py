@@ -43,19 +43,14 @@ import socket
 from pathlib import Path
 from typing import Callable
 
+from repro.store.integrity import write_json_atomic
+
 from repro.fabric.descriptors import ShardDescriptor
 from repro.fabric.retry import DEFAULT_MAX_ATTEMPTS, RetryPolicy
 
 #: Cap on per-shard failure records kept in the attempts ledger (the
 #: budget is small, but a requeued shard keeps its history).
 MAX_RECORDED_FAILURES = 20
-
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
 
 
 def _read_json(path: Path) -> dict | None:
@@ -105,7 +100,7 @@ class SupervisionLedger:
         record["attempts"] = int(record.get("attempts", 0)) + 1
         record["last_worker"] = worker
         record["last_claimed_at"] = self.clock()
-        _atomic_write_json(path, record)
+        write_json_atomic(path, record)
         return record["attempts"]
 
     def record_failure(
@@ -130,7 +125,7 @@ class SupervisionLedger:
             }
         )
         record["failures"] = failures
-        _atomic_write_json(path, record)
+        write_json_atomic(path, record)
         return int(record.get("attempts", 0))
 
     def clear_attempts(self, digest: str) -> None:
@@ -170,7 +165,7 @@ class SupervisionLedger:
             "quarantined_at": self.clock(),
         }
         path = self._poison_path(descriptor.digest)
-        _atomic_write_json(path, record)
+        write_json_atomic(path, record)
         return path
 
     def is_quarantined(self, digest: str) -> bool:
@@ -209,7 +204,7 @@ class SupervisionLedger:
     def beat(self, instance: str, owner: str = "") -> None:
         """Refresh one journal instance's liveness beacon."""
         self.heartbeats_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(
+        write_json_atomic(
             self._heartbeat_path(instance),
             {
                 "instance": instance,

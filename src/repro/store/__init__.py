@@ -8,7 +8,7 @@ diagnosis at 8x8.  The store persists those artifacts on disk,
 content-addressed by a stable digest of what they were compiled from
 (:mod:`repro.store.digest`), so repeated traffic pays the build once:
 
-* :class:`KernelStore` — one ``.npz`` of flat CSR arrays per array
+* :class:`KernelStore` — one artifact of flat CSR arrays per array
   structure (:mod:`repro.store.kernels`);
 * :class:`DictionaryStore` — chunked syndrome tables that a streaming
   :class:`~repro.sim.diagnosis.FaultDictionary` build appends to in
@@ -20,13 +20,15 @@ Cache invalidation is purely by content addressing: any change to the
 layout, vector suite, fault universe or cardinality produces a new digest
 and therefore a cold build; stale entries are never reinterpreted.
 
-Integrity (:mod:`repro.store.integrity`): every published artifact
-records a BLAKE2b checksum of its payload bytes; loads verify lazily and
-a mismatch raises :class:`ArtifactCorruptionError`, which callers convert
-into quarantine-and-rebuild — the corrupt evidence moves to a
-``quarantine/`` directory beside the store and the artifact is re-derived
-from source (kernels recompile, dictionary chunks re-simulate, campaign
-shards re-enter their journal as pending).
+Integrity (:mod:`repro.store.integrity`): every artifact — kernels,
+dictionaries and the fabric's campaign shards alike — is one directory
+``<root>/<digest>/`` of payloads plus a ``meta.json`` written last that
+records each payload's BLAKE2b checksum, published and verified by one
+primitive.  A mismatch raises :class:`ArtifactCorruptionError`, which
+callers convert into quarantine-and-rebuild — the corrupt evidence moves
+to a ``quarantine/`` directory beside the store and the artifact is
+re-derived from source (kernels recompile, dictionaries re-simulate,
+campaign shards re-enter their journal as pending).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from repro.store.digest import (
 from repro.store.integrity import (
     ArtifactCorruptionError,
     data_checksum,
-    file_checksum,
     quarantine,
     quarantined_artifacts,
     verify_file,
@@ -99,7 +100,6 @@ __all__ = [
     "dictionary_digest",
     "digest_int",
     "fault_key",
-    "file_checksum",
     "kernel_digest",
     "layout_digest",
     "layout_key",

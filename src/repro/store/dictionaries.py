@@ -7,7 +7,7 @@ A dictionary artifact is a content-addressed directory::
         chunk-00001.npz   #       (-1 padded); syndromes: (N,) int32 ids
         ...
         syndromes.json    # interned syndrome table, in first-seen order
-        meta.json         # counts + format version; written LAST
+        meta.json         # counts, version, checksums; written LAST
 
 Fault sets are stored as indices into the build's ordered fault universe
 (the digest covers the universe, so indices are unambiguous), and each
@@ -20,25 +20,20 @@ as a bitmask over the (sorted) sink names, so a syndrome serializes as
 parsing integers, not re-reading thousands of repeated port-name strings.
 
 The writer appends chunks as a **streaming** build produces them, so the
-producer never holds more than one chunk of encoded rows; ``meta.json``
-doubles as the completeness marker (it is written last, inside a temp
-directory that is atomically renamed into place), so a crashed build
-leaves nothing addressable.  Every payload file is fsynced before the
-publish rename (power loss cannot leave an empty chunk behind the
-marker), and ``meta.json`` records a BLAKE2b checksum per file —
-:meth:`DictionaryStore.load` verifies each file's bytes before parsing
-them and raises :exc:`~repro.store.integrity.ArtifactCorruptionError`
-on a mismatch, which callers convert into quarantine-and-rebuild
+producer never holds more than one chunk of encoded rows.  Publishing
+and verification are the shared primitive's
+(:class:`~repro.store.integrity.ArtifactWriter`,
+:func:`~repro.store.integrity.verify_file`): a crashed build leaves
+nothing addressable, and a payload that fails its recorded checksum
+raises :exc:`~repro.store.integrity.ArtifactCorruptionError`, which
+callers convert into quarantine-and-rebuild
 (:class:`~repro.sim.diagnosis.FaultDictionary` re-simulates the table).
 """
 
 from __future__ import annotations
 
-import io
 import json
-import os
 import shutil
-import zipfile
 from collections import defaultdict
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -47,11 +42,14 @@ import numpy as np
 
 from repro.store.digest import STORE_FORMAT_VERSION
 from repro.store.integrity import (
+    STAGING_MARK,
     ArtifactCorruptionError,
-    data_checksum,
+    ArtifactRoot,
+    ArtifactWriter,
     fsync_dir,
-    load_json,
+    npz_arrays,
     quarantine,
+    read_meta,
     verify_file,
 )
 from repro.store.lineage import DictionaryInfo, GcPlan, dictionary_info, plan_gc
@@ -123,29 +121,21 @@ def decode_syndromes(payload: dict) -> list[tuple]:
 class DictionaryWriter:
     """Streaming appender for one dictionary artifact.
 
-    Builds into ``<digest>.tmp-<pid>`` and renames to ``<digest>`` on
-    :meth:`commit`; :meth:`abort` (idempotent, safe after commit) discards
-    the temp directory, so ``try/finally: writer.abort()`` around a build
-    yields all-or-nothing persistence.
+    Stages through an :class:`~repro.store.integrity.ArtifactWriter`,
+    published on :meth:`commit`; :meth:`abort` (idempotent, safe after
+    commit) discards the staging directory, so ``try/finally:
+    writer.abort()`` around a build yields all-or-nothing persistence.
     """
 
     def __init__(self, directory: Path, cardinality: int, meta: dict) -> None:
-        self._final = directory
-        self._tmp = directory.with_name(
-            f"{directory.name}.tmp-{os.getpid()}"
-        )
-        if self._tmp.exists():
-            shutil.rmtree(self._tmp)
-        self._tmp.mkdir(parents=True)
+        self._artifact = ArtifactWriter(directory)
         self._cardinality = cardinality
         self._meta = dict(meta)
         self._syndrome_ids: dict = {}
         self._rows: list[tuple[int, ...]] = []
         self._row_syndromes: list[int] = []
-        self._checksums: dict[str, str] = {}
         self._chunks = 0
         self._total = 0
-        self._committed = False
 
     def annotate(self, **fields: Any) -> None:
         """Merge extra metadata fields before :meth:`commit`.
@@ -154,18 +144,9 @@ class DictionaryWriter:
         digest + the delta that produced the artifact) once the delta's
         actual shape — reused rows, simulated columns — is known.
         """
-        if self._committed:
+        if self._artifact.committed:
             raise RuntimeError("cannot annotate a committed artifact")
         self._meta.update(fields)
-
-    def _write_payload(self, name: str, payload: bytes) -> None:
-        """Write one artifact file durably, recording its checksum."""
-        path = self._tmp / name
-        with open(path, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._checksums[name] = data_checksum(payload)
 
     def add(self, indices: Sequence[int], syndrome: Any) -> None:
         """Record one detected fault set (universe indices) + its syndrome."""
@@ -182,82 +163,42 @@ class DictionaryWriter:
     def _flush_chunk(self) -> None:
         if not self._rows:
             return
-        buffer = io.BytesIO()
-        np.savez(
-            buffer,
+        self._artifact.put_npz(
+            f"chunk-{self._chunks:05d}.npz",
             sets=np.array(self._rows, dtype=np.int32),
             syndromes=np.array(self._row_syndromes, dtype=np.int32),
         )
-        self._write_payload(f"chunk-{self._chunks:05d}.npz", buffer.getvalue())
         self._total += len(self._rows)
         self._rows = []
         self._row_syndromes = []
         self._chunks += 1
 
     def commit(self) -> Path:
-        """Flush, write the syndrome table and metadata, publish atomically.
-
-        Every payload is fsynced (file, then the temp directory, then the
-        store root after the rename) so the completeness marker can never
-        outlive a power loss that its payloads didn't.
-        """
+        """Flush, write the syndrome table and metadata, publish atomically."""
         self._flush_chunk()
         # Insertion order == id order, so the dict iterates id-sorted.
-        self._write_payload(
+        self._artifact.put(
             "syndromes.json",
             json.dumps(
                 encode_syndromes(self._syndrome_ids), separators=(",", ":")
             ).encode(),
         )
-        meta = {
+        return self._artifact.commit({
             **self._meta,
             "version": STORE_FORMAT_VERSION,
             "cardinality": self._cardinality,
             "chunks": self._chunks,
             "fault_sets": self._total,
             "distinct_syndromes": len(self._syndrome_ids),
-            "checksums": dict(sorted(self._checksums.items())),
-        }
-        with open(self._tmp / "meta.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        fsync_dir(self._tmp)
-        try:
-            os.replace(self._tmp, self._final)
-        except OSError:
-            # A concurrent build won the publish race (the rename target
-            # exists and is non-empty); its artifact is identical by
-            # content addressing, so keep it and discard ours.
-            if not (self._final / "meta.json").exists():
-                raise
-            shutil.rmtree(self._tmp)
-        fsync_dir(self._final.parent)
-        self._committed = True
-        return self._final
+        })
 
     def abort(self) -> None:
-        """Discard the temp directory (no-op after a successful commit)."""
-        if not self._committed and self._tmp.exists():
-            shutil.rmtree(self._tmp)
+        """Discard the staging directory (no-op after a successful commit)."""
+        self._artifact.abort()
 
 
-class DictionaryStore:
+class DictionaryStore(ArtifactRoot):
     """Content-addressed store of chunked syndrome tables."""
-
-    def __init__(self, root: str | os.PathLike) -> None:
-        self.root = Path(root)
-
-    def path_for(self, digest: str) -> Path:
-        return self.root / digest
-
-    def has(self, digest: str) -> bool:
-        """Only *complete* artifacts count (``meta.json`` is written last)."""
-        return (self.path_for(digest) / "meta.json").exists()
-
-    def meta(self, digest: str) -> dict:
-        """The completeness marker — a torn file types as corruption."""
-        return load_json(self.path_for(digest) / "meta.json")
 
     def heal(self, digest: str, error: ArtifactCorruptionError) -> Path | None:
         """Quarantine one corrupt dictionary artifact directory.
@@ -270,10 +211,30 @@ class DictionaryStore:
     def writer(
         self, digest: str, cardinality: int, meta: dict | None = None
     ) -> DictionaryWriter:
-        self.root.mkdir(parents=True, exist_ok=True)
         return DictionaryWriter(
             self.path_for(digest), cardinality, meta or {}
         )
+
+    def _syndromes(self, directory: Path, meta: dict) -> list[tuple]:
+        """The verified, decoded syndrome table of one artifact."""
+        payload = verify_file(directory, meta, "syndromes.json")
+        try:
+            return decode_syndromes(json.loads(payload))
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
+            raise ArtifactCorruptionError(
+                directory / "syndromes.json", f"unparseable payload: {exc}"
+            )
+
+    def _chunks(
+        self, directory: Path, meta: dict
+    ) -> Iterator[tuple[list, list]]:
+        """``(rows, syndrome ids)`` per chunk in append order, each verified
+        lazily — corruption surfaces mid-iteration."""
+        for chunk in range(meta["chunks"]):
+            name = f"chunk-{chunk:05d}.npz"
+            payload = verify_file(directory, meta, name)
+            data = npz_arrays(payload, directory / name, ("sets", "syndromes"))
+            yield data["sets"].tolist(), data["syndromes"].tolist()
 
     def load(self, digest: str, universe: Sequence) -> dict:
         """Materialize the syndrome table against the build's universe.
@@ -284,31 +245,12 @@ class DictionaryStore:
         """
         directory = self.path_for(digest)
         meta = self.meta(digest)
-        if meta["version"] != STORE_FORMAT_VERSION:
-            raise ValueError(
-                f"dictionary artifact {directory} has an unsupported version"
-            )
         if meta["universe_size"] != len(universe):
             raise ValueError(
                 f"dictionary artifact {directory} was built against a "
                 f"{meta['universe_size']}-fault universe, got {len(universe)}"
             )
-        # Checksums recorded at publish; absent on pre-integrity artifacts,
-        # which load unverified exactly as they always did.
-        checksums = meta.get("checksums") or {}
-        try:
-            syndromes = decode_syndromes(
-                json.loads(
-                    verify_file(
-                        directory / "syndromes.json",
-                        checksums.get("syndromes.json"),
-                    )
-                )
-            )
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
-            raise ArtifactCorruptionError(
-                directory / "syndromes.json", f"unparseable payload: {exc}"
-            )
+        syndromes = self._syndromes(directory, meta)
         # Table keys are created in syndrome-id (= first-seen) order, and
         # each row appends through a pre-resolved bucket reference — the
         # nested syndrome tuples are hashed once per *syndrome*, never per
@@ -316,17 +258,7 @@ class DictionaryStore:
         table: dict = defaultdict(list)
         buckets = [table[syndrome] for syndrome in syndromes]
         faults = list(universe)
-        for chunk in range(meta["chunks"]):
-            name = f"chunk-{chunk:05d}.npz"
-            payload = verify_file(directory / name, checksums.get(name))
-            try:
-                with np.load(io.BytesIO(payload)) as data:
-                    rows = data["sets"].tolist()
-                    sids = data["syndromes"].tolist()
-            except (zipfile.BadZipFile, KeyError, OSError) as exc:
-                raise ArtifactCorruptionError(
-                    directory / name, f"unparseable payload: {exc}"
-                )
+        for rows, sids in self._chunks(directory, meta):
             if meta["cardinality"] == 1:
                 for row, sid in zip(rows, sids):
                     buckets[sid].append((faults[row[0]],))
@@ -352,21 +284,7 @@ class DictionaryStore:
         their entries into the target suite's positions) without
         materializing its full table.
         """
-        directory = self.path_for(digest)
-        checksums = self.meta(digest).get("checksums") or {}
-        try:
-            return decode_syndromes(
-                json.loads(
-                    verify_file(
-                        directory / "syndromes.json",
-                        checksums.get("syndromes.json"),
-                    )
-                )
-            )
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError) as exc:
-            raise ArtifactCorruptionError(
-                directory / "syndromes.json", f"unparseable payload: {exc}"
-            )
+        return self._syndromes(self.path_for(digest), self.meta(digest))
 
     def iter_rows(self, digest: str) -> Iterator[tuple[tuple[int, ...], int]]:
         """Stream ``(universe-index tuple, syndrome id)`` rows in append order.
@@ -378,19 +296,7 @@ class DictionaryStore:
         mid-iteration and the caller heals + falls back to a cold build.
         """
         directory = self.path_for(digest)
-        meta = self.meta(digest)
-        checksums = meta.get("checksums") or {}
-        for chunk in range(meta["chunks"]):
-            name = f"chunk-{chunk:05d}.npz"
-            payload = verify_file(directory / name, checksums.get(name))
-            try:
-                with np.load(io.BytesIO(payload)) as data:
-                    rows = data["sets"].tolist()
-                    sids = data["syndromes"].tolist()
-            except (zipfile.BadZipFile, KeyError, OSError) as exc:
-                raise ArtifactCorruptionError(
-                    directory / name, f"unparseable payload: {exc}"
-                )
+        for rows, sids in self._chunks(directory, self.meta(digest)):
             for row, sid in zip(rows, sids):
                 end = len(row)
                 while end and row[end - 1] < 0:
@@ -411,10 +317,10 @@ class DictionaryStore:
         for entry in sorted(self.root.iterdir()):
             if not entry.is_dir() or entry.name == "quarantine":
                 continue
-            if ".tmp-" in entry.name:
+            if STAGING_MARK in entry.name:
                 continue
             try:
-                meta = load_json(entry / "meta.json")
+                meta = read_meta(entry)
             except (FileNotFoundError, ArtifactCorruptionError):
                 continue
             size = sum(
@@ -449,9 +355,9 @@ class DictionaryStore:
         for info in plan.superseded:
             if not apply:
                 continue
-            path = self.path_for(info.digest)
-            if not (path / "meta.json").exists():
+            if not self.has(info.digest):
                 continue  # a concurrent gc (or heal) got here first
+            path = self.path_for(info.digest)
             if quarantine_evidence:
                 reason = "superseded by lineage descendants: " + ", ".join(
                     plan.children.get(info.digest, ())

@@ -1,44 +1,55 @@
-"""Artifact integrity: checksums, durable publishes, and quarantine.
+"""Artifact integrity: one publish/verify/quarantine primitive.
 
-Every store in this package publishes atomically (temp + ``os.replace``)
-so a *crash* never leaves a half-written artifact addressable.  That
-protocol says nothing about what happens **after** publish: a bit flip
-on disk, a torn ``meta.json`` from a power loss, or an operator ``dd``
-accident would previously either crash a warm load or — far worse —
-silently poison a merged campaign result we promise is bit-identical.
+Every artifact the stores persist — a compiled kernel, a dictionary, a
+campaign shard — has the same shape on disk::
 
-This module is the shared discipline the stores now follow:
+    <root>/<digest>/
+        <payload> ...   # the store's own encoding (``.npz``, JSON)
+        meta.json       # store fields + ``checksums``; written LAST
 
-* **Checksums.**  Every published payload records a BLAKE2b content
-  checksum in its completeness marker (:func:`file_checksum` /
-  :func:`data_checksum`).  Loads verify lazily — at read time, on
-  exactly the bytes about to be parsed — and a mismatch raises the
-  typed :exc:`ArtifactCorruptionError` instead of whatever exception
+and goes through the same cycle, implemented once here:
+
+* **Publish.**  :class:`ArtifactWriter` stages payloads into
+  ``<digest>.tmp-<pid>/``, fsyncing each and recording its BLAKE2b
+  checksum; :meth:`~ArtifactWriter.commit` writes ``meta.json`` last
+  (it doubles as the completeness marker), fsyncs the staging
+  directory, renames it into place with ``os.replace`` and fsyncs the
+  parent — so neither a crash nor a power loss leaves a half-written or
+  renamed-but-empty artifact addressable.
+
+* **Verify.**  :func:`verify_file` reads a payload and checks it against
+  the checksum ``meta.json`` recorded for it, at read time, on exactly
+  the bytes about to be parsed; :func:`npz_arrays` parses ``.npz``
+  payloads.  Any mismatch, missing checksum or unparseable payload
+  raises the typed :exc:`ArtifactCorruptionError` instead of whatever
   the corrupted parser would have thrown.
-
-* **Durability.**  :func:`fsync_file` / :func:`fsync_dir` flush a
-  payload (and its directory entry) to stable storage *before* the
-  atomic rename, so a power loss cannot leave a published-but-empty
-  artifact behind the completeness marker.
 
 * **Quarantine.**  :func:`quarantine` moves a corrupt artifact into a
   ``quarantine/`` sibling directory (never deletes — the evidence is
   for the operator) and drops a ``<name>.reason.json`` diagnostic next
   to it.  After the move the artifact is simply *absent* from the
   store, so the ordinary cold-build path regenerates it: kernels
-  recompile, dictionary chunks re-simulate, shards re-enter their
-  journal as pending.  Corruption therefore heals through the same
-  code paths a cache miss takes.
+  recompile, dictionaries re-simulate, shards re-enter their journal as
+  pending.  Corruption therefore heals through the same code paths a
+  cache miss takes — and so do artifacts from before this layout that
+  carry no ``checksums`` map.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shutil
 import time
+import zipfile
 from pathlib import Path
+from typing import Any, Iterable
+
+import numpy as np
+
+from repro.store.digest import STORE_FORMAT_VERSION
 
 #: Filename of the per-artifact diagnostic record written on quarantine.
 REASON_SUFFIX = ".reason.json"
@@ -46,7 +57,8 @@ REASON_SUFFIX = ".reason.json"
 #: Hex-digest size used for artifact content checksums (BLAKE2b).
 CHECKSUM_DIGEST_SIZE = 16
 
-_CHUNK = 1 << 20
+#: Marks a staging name (``<final>.tmp-<pid>``); never an addressable artifact.
+STAGING_MARK = ".tmp-"
 
 
 class ArtifactCorruptionError(RuntimeError):
@@ -71,16 +83,88 @@ def data_checksum(payload: bytes) -> str:
     ).hexdigest()
 
 
-def file_checksum(path: str | os.PathLike) -> str:
-    """Streaming BLAKE2b hex checksum of a file's bytes."""
-    digest = hashlib.blake2b(digest_size=CHECKSUM_DIGEST_SIZE)
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(_CHUNK)
-            if not block:
-                break
-            digest.update(block)
-    return digest.hexdigest()
+class ArtifactWriter:
+    """Stage one artifact directory and publish it atomically.
+
+    Payloads go into ``<final>.tmp-<pid>/`` (see :meth:`put`);
+    :meth:`commit` writes ``meta.json`` last and renames the directory
+    into place.  :meth:`abort` (idempotent, a no-op after commit)
+    discards the staging directory, and leaving a ``with`` block calls
+    it, so a failed build publishes nothing.
+    """
+
+    def __init__(self, final: str | os.PathLike) -> None:
+        self.final = Path(final)
+        self._tmp = self.final.with_name(
+            f"{self.final.name}{STAGING_MARK}{os.getpid()}"
+        )
+        if self._tmp.exists():
+            shutil.rmtree(self._tmp)
+        self._tmp.mkdir(parents=True)
+        self._checksums: dict[str, str] = {}
+        self.committed = False
+
+    def __enter__(self) -> ArtifactWriter:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.abort()
+
+    def put(self, name: str, payload: bytes) -> None:
+        """Write one payload file durably, recording its checksum."""
+        with open(self._tmp / name, "wb") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        self._checksums[name] = data_checksum(payload)
+
+    def put_npz(self, name: str, **arrays: Any) -> None:
+        """:meth:`put` the ``np.savez`` encoding of ``arrays``."""
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        self.put(name, buffer.getvalue())
+
+    def commit(self, meta: dict) -> Path:
+        """Write ``meta.json`` (plus ``checksums``) last, then publish.
+
+        Everything is on stable storage before the rename makes it
+        addressable, and the parent directory is flushed after it.  A
+        concurrent publish that won the rename race keeps its artifact —
+        identical by content addressing — and ours is discarded.
+        """
+        meta = {**meta, "checksums": dict(sorted(self._checksums.items()))}
+        with open(self._tmp / "meta.json", "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        fsync_dir(self._tmp)
+        try:
+            os.replace(self._tmp, self.final)
+        except OSError:
+            if not (self.final / "meta.json").exists():
+                raise
+            shutil.rmtree(self._tmp)
+        fsync_dir(self.final.parent)
+        self.committed = True
+        return self.final
+
+    def abort(self) -> None:
+        """Discard the staging directory (no-op after a successful commit)."""
+        if not self.committed and self._tmp.exists():
+            shutil.rmtree(self._tmp)
+
+
+def write_json_atomic(path: Path, payload: dict) -> None:
+    """Replace one small JSON record atomically (temp + ``os.replace``).
+
+    For mutable bookkeeping records (journal manifest, supervision
+    ledger) rather than content-addressed artifacts: readers see the old
+    or the new record, never a torn one; no fsync.
+    """
+    tmp = path.with_name(f".{path.name}{STAGING_MARK}{os.getpid()}")
+    with open(tmp, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    os.replace(tmp, path)
 
 
 #: Per-process memo of payloads that already verified clean: path ->
@@ -108,25 +192,28 @@ def _reset_verified_cache() -> None:
     _VERIFIED.clear()
 
 
-def verify_file(path: str | os.PathLike, expected: str | None) -> bytes:
-    """Read ``path`` fully, verifying its checksum on the way.
+def verify_file(directory: str | os.PathLike, meta: dict, name: str) -> bytes:
+    """Read payload ``name`` of an artifact, verifying it against ``meta``.
 
     Returns the verified bytes (so callers parse exactly what was
-    hashed — no read-verify-reread race).  ``expected=None`` marks a
-    legacy artifact published before checksums existed: it loads
-    unverified, exactly as it always did.  Repeat reads of a payload this
-    process already verified skip the hash when the file's fstat
+    hashed — no read-verify-reread race).  The expected checksum is
+    ``meta["checksums"][name]``; a payload without one (an artifact from
+    before the shared layout) is corruption too, so it heals by
+    rebuilding instead of loading unverified.  Repeat reads of a payload
+    this process already verified skip the hash when the file's fstat
     signature is unchanged (see ``_VERIFIED``); a mismatch always raises
     and never caches.
     """
+    path = Path(directory) / name
+    expected = (meta.get("checksums") or {}).get(name)
+    if expected is None:
+        raise ArtifactCorruptionError(path, "no recorded checksum")
     try:
         with open(path, "rb") as fh:
             stat = os.fstat(fh.fileno())
             payload = fh.read()
     except FileNotFoundError:
         raise ArtifactCorruptionError(path, "payload file is missing") from None
-    if expected is None:
-        return payload
     key = str(path)
     signature = (expected, stat.st_size, stat.st_mtime_ns, stat.st_ino)
     if _VERIFIED.get(key) == signature and len(payload) == stat.st_size:
@@ -142,13 +229,19 @@ def verify_file(path: str | os.PathLike, expected: str | None) -> bytes:
     return payload
 
 
-def fsync_file(path: str | os.PathLike) -> None:
-    """Flush one file's contents to stable storage."""
-    fd = os.open(path, os.O_RDONLY)
+def npz_arrays(
+    payload: bytes, path: str | os.PathLike, keys: Iterable[str]
+) -> dict[str, np.ndarray]:
+    """Parse the ``keys`` arrays of an ``.npz`` payload read from ``path``.
+
+    A payload that does not parse (or lacks a key) raises
+    :exc:`ArtifactCorruptionError` rather than a :mod:`numpy` error.
+    """
     try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+        with np.load(io.BytesIO(payload)) as data:
+            return {key: data[key] for key in keys}
+    except (zipfile.BadZipFile, KeyError, OSError) as exc:
+        raise ArtifactCorruptionError(path, f"unparseable payload: {exc}")
 
 
 def fsync_dir(path: str | os.PathLike) -> None:
@@ -170,31 +263,45 @@ def fsync_dir(path: str | os.PathLike) -> None:
         os.close(fd)
 
 
-def fsync_tree(directory: str | os.PathLike) -> None:
-    """Flush every file in ``directory`` (then the directory itself)."""
-    directory = Path(directory)
-    for child in sorted(directory.iterdir()):
-        if child.is_file():
-            fsync_file(child)
-    fsync_dir(directory)
+class ArtifactRoot:
+    """A directory of content-addressed artifacts, one ``<digest>/`` each."""
+
+    def __init__(self, root: str | os.PathLike) -> None:
+        self.root = Path(root)
+
+    def path_for(self, digest: str) -> Path:
+        return self.root / digest
+
+    def has(self, digest: str) -> bool:
+        """Only *complete* artifacts count (``meta.json`` is written last)."""
+        return (self.path_for(digest) / "meta.json").exists()
+
+    def meta(self, digest: str) -> dict:
+        """The completeness marker (see :func:`read_meta`)."""
+        return read_meta(self.path_for(digest))
 
 
-def load_json(path: str | os.PathLike) -> dict:
-    """Parse a completeness marker, typing torn/absent files as corruption.
+def read_meta(directory: str | os.PathLike) -> dict:
+    """An artifact's completeness marker, ``<directory>/meta.json``.
 
-    A ``meta.json`` that exists but does not parse is exactly the torn
-    write this layer exists to catch — surfacing it as
-    :exc:`ArtifactCorruptionError` lets every caller share one
-    quarantine-and-rebuild path instead of special-casing
-    ``JSONDecodeError``.
+    ``FileNotFoundError`` means the artifact is not published.  A marker
+    that does not parse is exactly the torn write this layer exists to
+    catch, and one of another format version cannot sit at this address
+    (the version is part of every digest): both raise
+    :exc:`ArtifactCorruptionError`, so every caller shares one
+    quarantine-and-rebuild path.
     """
+    path = Path(directory) / "meta.json"
     try:
         with open(path) as fh:
-            return json.load(fh)
+            meta = json.load(fh)
     except FileNotFoundError:
         raise
     except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         raise ArtifactCorruptionError(path, f"unreadable metadata: {exc}")
+    if not isinstance(meta, dict) or meta.get("version") != STORE_FORMAT_VERSION:
+        raise ArtifactCorruptionError(path, "unsupported format version")
+    return meta
 
 
 def quarantine(

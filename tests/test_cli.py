@@ -1,6 +1,10 @@
 """CLI smoke tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,23 @@ class TestParser:
 
 
 class TestCommands:
+    def test_closed_stdout_pipe_exits_quietly(self):
+        """A reader that goes away early (`repro show | head`) ends the
+        run with the SIGPIPE status 141 and no traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "show", "--size", "5"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                cwd=Path(__file__).resolve().parent.parent,
+                env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert "Traceback" not in proc.stderr
+
     def test_show(self, capsys):
         assert main(["show", "--size", "3", "--full"]) == 0
         out = capsys.readouterr().out

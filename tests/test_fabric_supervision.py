@@ -114,22 +114,23 @@ def _flip_bits(path, offset=None):
 
 class TestVerifyFile:
     def test_roundtrip_and_mismatch(self, tmp_path):
-        path = tmp_path / "blob"
-        path.write_bytes(b"payload-bytes")
-        checksum = data_checksum(b"payload-bytes")
-        assert verify_file(path, checksum) == b"payload-bytes"
-        _flip_bits(path)
+        (tmp_path / "blob").write_bytes(b"payload-bytes")
+        meta = {"checksums": {"blob": data_checksum(b"payload-bytes")}}
+        assert verify_file(tmp_path, meta, "blob") == b"payload-bytes"
+        _flip_bits(tmp_path / "blob")
         with pytest.raises(ArtifactCorruptionError, match="checksum mismatch"):
-            verify_file(path, checksum)
+            verify_file(tmp_path, meta, "blob")
 
-    def test_legacy_artifacts_load_unverified(self, tmp_path):
-        path = tmp_path / "blob"
-        path.write_bytes(b"pre-checksum artifact")
-        assert verify_file(path, None) == b"pre-checksum artifact"
+    def test_unrecorded_checksum_is_corruption(self, tmp_path):
+        (tmp_path / "blob").write_bytes(b"pre-checksum artifact")
+        for meta in ({}, {"checksum": "0" * 32}, {"checksums": {}}):
+            with pytest.raises(ArtifactCorruptionError, match="no recorded"):
+                verify_file(tmp_path, meta, "blob")
 
     def test_missing_file_is_corruption(self, tmp_path):
+        meta = {"checksums": {"gone": data_checksum(b"")}}
         with pytest.raises(ArtifactCorruptionError, match="missing"):
-            verify_file(tmp_path / "gone", data_checksum(b""))
+            verify_file(tmp_path, meta, "gone")
 
 
 # -- shard artifact corruption heals at merge --------------------------------
@@ -211,7 +212,7 @@ class TestKernelCorruptionHeals:
         fpva, _ = bundle
         store = KernelStore(tmp_path / "kernels")
         first = store.get_or_compile(fpva)
-        _flip_bits(store.path_for(fpva))
+        _flip_bits(store.path_for(fpva) / "arcs.npz")
         healed = store.get_or_compile(fpva)
         assert healed.to_arrays().keys() == first.to_arrays().keys()
         assert quarantined_artifacts(store.root)
@@ -224,7 +225,7 @@ class TestKernelCorruptionHeals:
         fpva, _ = bundle
         cache = tmp_path / "cache"
         ExecutionContext(fpva, cache_dir=cache).kernel  # cold compile + save
-        _flip_bits(KernelStore(cache / "kernels").path_for(fpva))
+        _flip_bits(KernelStore(cache / "kernels").path_for(fpva) / "arcs.npz")
         ctx = ExecutionContext(fpva, cache_dir=cache)
         ctx.kernel
         assert ctx.kernel_heals == 1
@@ -241,7 +242,7 @@ class TestKernelCorruptionHeals:
         store = KernelStore(tmp_path / "kernels")
         store.get_or_compile(fpva)
         path = str(store.path_for(fpva))
-        _flip_bits(store.path_for(fpva))
+        _flip_bits(store.path_for(fpva) / "arcs.npz")
         _KERNEL_MEMO.pop(path, None)
         try:
             shipped_fpva, kernel = _resolve_kernel(fpva, path)
@@ -278,6 +279,112 @@ class TestDictionaryCorruptionHeals:
         assert quarantined_artifacts(store.root)
         warm = self._build(tmp_path, fpva, vectors)
         assert warm.warm_loaded  # the rebuild republished a clean artifact
+
+
+# -- caches written before the shared artifact layout migrate once ----------
+
+
+class TestPreviousLayoutMigrates:
+    """Artifacts in the layout that predates the shared publish primitive:
+    shards recorded one ``checksum`` rather than a ``checksums`` map, and
+    kernels were a flat ``<digest>.npz`` with a ``<digest>.meta.json``
+    sidecar.  Both heal through the ordinary paths; dictionaries already
+    used today's layout and load unchanged."""
+
+    def test_checksum_only_shard_is_resimulated(
+        self, tmp_path, spec, reference
+    ):
+        journal_dir = tmp_path / "journal"
+        run_journaled_sweep(spec, journal_dir, workers=1)
+        store = CampaignJournal(journal_dir).store
+        victim = store.path_for(spec.shards()[2].digest)
+        meta = json.loads((victim / "meta.json").read_text())
+        meta["checksum"] = meta.pop("checksums")["result.npz"]
+        (victim / "meta.json").write_text(
+            json.dumps(meta, indent=2, sort_keys=True)
+        )
+
+        results, stats = run_journaled_sweep(
+            spec, journal_dir, workers=1, resume=True
+        )
+        assert stats.healed == 1 and stats.executed == 1
+        assert_sweeps_identical(results, reference)
+        assert "no recorded checksum" in quarantined_artifacts(journal_dir)[0]["reason"]
+        assert "checksums" in json.loads((victim / "meta.json").read_text())
+
+    def test_flat_kernel_file_is_recompiled_into_a_directory(
+        self, tmp_path, bundle
+    ):
+        import io
+
+        import numpy as np
+
+        from repro.context import ExecutionContext
+        from repro.sim.kernel import ReachabilityKernel
+        from repro.store import STORE_FORMAT_VERSION, kernel_digest
+
+        fpva, _ = bundle
+        root = tmp_path / "cache" / "kernels"
+        root.mkdir(parents=True)
+        digest = kernel_digest(fpva)
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            **ReachabilityKernel(fpva).to_arrays(),
+            version=np.array([STORE_FORMAT_VERSION], dtype=np.int64),
+        )
+        (root / f"{digest}.npz").write_bytes(buffer.getvalue())
+        (root / f"{digest}.meta.json").write_text(json.dumps({
+            "version": STORE_FORMAT_VERSION,
+            "digest": digest,
+            "checksum": data_checksum(buffer.getvalue()),
+        }))
+
+        ctx = ExecutionContext(fpva, cache_dir=tmp_path / "cache")
+        ctx.kernel
+        assert (ctx.kernel_loads, ctx.kernel_compiles, ctx.kernel_heals) == (0, 1, 0)
+        assert KernelStore(root).path_for(fpva) == root / digest
+        assert (root / digest / "arcs.npz").is_file()
+        nxt = ExecutionContext(fpva, cache_dir=tmp_path / "cache")
+        nxt.kernel
+        assert nxt.kernel_loads == 1 and nxt.kernel_compiles == 0
+
+    def test_dictionary_layout_is_unchanged(self, tmp_path, bundle):
+        from repro.sim.diagnosis import FaultDictionary
+        from repro.store import DictionaryStore
+
+        fpva, vectors = bundle
+        cold = FaultDictionary(
+            fpva, vectors, max_cardinality=2, store=tmp_path / "a"
+        )
+        built = DictionaryStore(tmp_path / "a" / "dictionaries").path_for(
+            cold.digest
+        )
+        # Publish the same payloads the way the previous writer did: one
+        # meta.json, written last, with a per-file ``checksums`` map.
+        earlier = DictionaryStore(tmp_path / "b" / "dictionaries").path_for(
+            cold.digest
+        )
+        earlier.mkdir(parents=True)
+        meta = json.loads((built / "meta.json").read_text())
+        checksums = {}
+        for name in meta.pop("checksums"):
+            payload = (built / name).read_bytes()
+            (earlier / name).write_bytes(payload)
+            checksums[name] = data_checksum(payload)
+        meta["checksums"] = dict(sorted(checksums.items()))
+        with open(earlier / "meta.json", "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+        assert (earlier / "meta.json").read_bytes() == (
+            built / "meta.json"
+        ).read_bytes()
+
+        warm = FaultDictionary(
+            fpva, vectors, max_cardinality=2, store=tmp_path / "b"
+        )
+        assert warm.warm_loaded
+        assert list(warm._table.items()) == list(cold._table.items())
+        assert not quarantined_artifacts(earlier.parent)
 
 
 # -- poison shards: bounded retries, quarantine, requeue ---------------------
